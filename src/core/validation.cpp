@@ -30,16 +30,13 @@ ValidationReport validate(const hw::MachineSpec& machine,
   // report to be bit-identical to the serial sweep. Observability sinks
   // in `options.sim` are single-consumer objects, so their presence
   // forces the serial path.
-  const bool serial_sinks = options.sim.trace != nullptr ||
-                            options.sim.metrics != nullptr ||
-                            options.sim.spans != nullptr;
   std::vector<trace::Measurement> runs(configs.size());
   const auto run_one = [&](std::size_t i) {
     trace::SimOptions sim_opt = options.sim;
     sim_opt.seed = options.sim.seed + 0x9E37u * (i + 1);
     runs[i] = trace::simulate(machine, program, configs[i], sim_opt);
   };
-  if (serial_sinks) {
+  if (options.sim.has_sinks()) {
     for (std::size_t i = 0; i < configs.size(); ++i) run_one(i);
   } else {
     par::parallel_for(configs.size(), run_one, jobs);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/profiler.hpp"
+#include "par/thread_pool.hpp"
 #include "util/error.hpp"
 #include "workload/programs.hpp"
 #include "util/rng.hpp"
@@ -109,23 +110,33 @@ Characterization characterize(const hw::MachineSpec& machine,
                    workload::grid_dimension(options.baseline_class)),
                3.0);
 
-  // Baseline counter sweep: single node, every (c, f).
+  // Baseline counter sweep: single node, every (c, f). Point j is
+  // (c, f) = (j / nf + 1, fs[j % nf]) and lands in its own slot.
   const auto& fs = machine.node.dvfs.frequencies_hz;
-  ch.baseline.resize(static_cast<std::size_t>(machine.node.cores));
-  for (int c = 1; c <= machine.node.cores; ++c) {
-    auto& row = ch.baseline[static_cast<std::size_t>(c - 1)];
-    row.resize(fs.size());
-    for (std::size_t fi = 0; fi < fs.size(); ++fi) {
-      const hw::ClusterConfig cfg{1, c, fs[fi]};
-      const trace::Measurement meas =
-          trace::simulate(machine, ps, cfg, options.sim);
-      BaselinePoint& pt = row[fi];
-      pt.work_cycles = meas.counters.work_cycles;
-      pt.nonmem_stalls = meas.counters.nonmem_stall_cycles;
-      pt.mem_stalls = meas.counters.mem_stall_cycles;
-      pt.utilization = meas.cpu_utilization;
-      pt.instructions = meas.counters.instructions;
-    }
+  const std::size_t nf = fs.size();
+  const auto cores = static_cast<std::size_t>(machine.node.cores);
+  ch.baseline.assign(cores, std::vector<BaselinePoint>(nf));
+  const auto run_point = [&](std::size_t j) {
+    const hw::ClusterConfig cfg{1, static_cast<int>(j / nf) + 1,
+                                fs[j % nf]};
+    const trace::Measurement meas =
+        trace::simulate(machine, ps, cfg, options.sim);
+    BaselinePoint& pt = ch.baseline[j / nf][j % nf];
+    pt.work_cycles = meas.counters.work_cycles;
+    pt.nonmem_stalls = meas.counters.nonmem_stall_cycles;
+    pt.mem_stalls = meas.counters.mem_stall_cycles;
+    pt.utilization = meas.cpu_utilization;
+    pt.instructions = meas.counters.instructions;
+  };
+  const std::size_t points = cores * nf;
+  if (options.sim.has_sinks() || options.sim.dvfs_policy != nullptr) {
+    for (std::size_t j = 0; j < points; ++j) run_point(j);
+  } else {
+    // Every run takes the same options.sim, so the runs are independent
+    // and fan out on the par pool. A run's cost grows with c, so the pool
+    // sees the points in reverse: costliest first.
+    par::parallel_for(points,
+                      [&](std::size_t k) { run_point(points - 1 - k); });
   }
 
   // Communication probe (mpiP) and network sweep (NetPIPE).

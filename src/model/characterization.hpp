@@ -107,6 +107,17 @@ struct Characterization {
 /// synthetic generator, user registration); its demands are validated on
 /// entry and `options.baseline_class` must be smaller than its input
 /// class. Throws std::invalid_argument otherwise.
+///
+/// The baseline sweep runs on the par pool at the default job count
+/// (`par::set_default_jobs`, the `--jobs` flag); the result is
+/// bit-identical at any job count. It stays serial, in ascending (c, f)
+/// order, in two cases:
+///  - `options.sim.has_sinks()`: a trace sink, metrics registry or span
+///    aggregator is single-consumer and would be shared by every run;
+///  - `options.sim.dvfs_policy` is set: `DvfsPolicy::next_frequency` is
+///    non-const, so a user policy may carry state from run to run.
+/// The communication probe, the NetPIPE sweep and the power
+/// characterization always run serially on the calling thread.
 Characterization characterize(const hw::MachineSpec& machine,
                               const workload::ProgramSpec& program,
                               const CharacterizationOptions& options = {});

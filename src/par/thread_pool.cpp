@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace hepex::par {
 
@@ -79,21 +80,24 @@ void ThreadPool::ensure_workers(int count) {
   }
 }
 
-void ThreadPool::for_range(std::size_t n, int chunks, const RangeFn& fn) {
+void ThreadPool::for_range(std::size_t n, int chunks, int participants,
+                           const RangeFn& fn) {
   if (n == 0) return;
   chunks = static_cast<int>(std::clamp<std::size_t>(
       static_cast<std::size_t>(std::max(chunks, 1)), 1, n));
-  if (chunks == 1 || t_in_worker) {
+  participants = std::clamp(participants, 1, chunks);
+  if (participants == 1 || t_in_worker) {
     fn(0, n);
     return;
   }
-  ensure_workers(chunks - 1);
+  ensure_workers(participants - 1);
 
   util::MutexLock region(dispatch_mu_);
   auto task = std::make_shared<Task>();
   task->n = n;
   task->chunks = chunks;
   task->fn = &fn;
+  task->seats.store(participants - 1, std::memory_order_relaxed);
   task->remaining.store(chunks, std::memory_order_relaxed);
   {
     util::MutexLock lk(mu_);
@@ -118,10 +122,13 @@ void ThreadPool::for_range(std::size_t n, int chunks, const RangeFn& fn) {
   }
   // The region has drained, but the analysis (rightly) wants the lock
   // that guards `error` — it costs one uncontended acquire per region.
+  // Move the exception out: a worker may still hold the last reference
+  // to the task, and the exception must not be released on that thread
+  // while this one handles it.
   std::exception_ptr error;
   {
     util::MutexLock lk(task->error_mu);
-    error = task->error;
+    error = std::move(task->error);
   }
   if (error) std::rethrow_exception(error);
 }
@@ -173,7 +180,11 @@ void ThreadPool::worker_loop() {
       seen = epoch_.load(std::memory_order_relaxed);
       task = task_;
     }
-    if (task) run_chunks(*task);
+    // A pool grown by an earlier, wider region has more workers than this
+    // region has seats; the surplus goes back to waiting.
+    if (task && task->seats.fetch_sub(1, std::memory_order_relaxed) > 0) {
+      run_chunks(*task);
+    }
   }
 }
 

@@ -8,10 +8,15 @@
 /// results land in fixed output slots. `par` exploits exactly that shape
 /// and nothing more:
 ///
-///  - *work-stealing-free*: `[0, n)` is split into `jobs` contiguous
-///    chunks whose boundaries depend only on `(n, jobs)`. Workers claim
+///  - *work-stealing-free*: `[0, n)` is split into `min(n, 4 * jobs)`
+///    contiguous chunks whose boundaries depend only on `(n, jobs)`. At
+///    most `jobs` participants (the caller plus `jobs - 1` workers) claim
 ///    whole chunks from a shared counter; no element ever migrates
 ///    between chunks, so there is no scheduler-dependent reassociation.
+///    Four chunks per participant let a fast participant take over work
+///    a slow one has not reached; a caller whose elements have uneven
+///    cost orders them costliest-first so the expensive ones are claimed
+///    early and the cheap ones fill in behind.
 ///  - *bit-deterministic*: element `i` is computed by the same code on
 ///    the same inputs regardless of thread count, and written to slot
 ///    `i`. No reductions happen in parallel — callers fold results
@@ -64,8 +69,8 @@ int default_jobs();
 ///
 /// One parallel region runs at a time (concurrent `for_range` calls from
 /// distinct threads serialize on an internal mutex). Worker threads are
-/// created on demand, up to the largest chunk count ever requested, and
-/// joined on destruction.
+/// created on demand, up to the largest participant count ever requested
+/// minus one, and joined on destruction.
 class ThreadPool {
  public:
   using RangeFn = std::function<void(std::size_t begin, std::size_t end)>;
@@ -84,11 +89,13 @@ class ThreadPool {
   void ensure_workers(int count) HEPEX_EXCLUDES(mu_);
 
   /// Run `fn(begin, end)` over [0, n) split into `chunks` contiguous
-  /// ranges (clamped to [1, n]). The calling thread participates; the
+  /// ranges (clamped to [1, n]), claimed by at most `participants`
+  /// threads (clamped to [1, chunks]): the caller plus up to
+  /// `participants - 1` workers, so the pool never grows past that. The
   /// call returns when every chunk completed. The first exception thrown
   /// by any chunk is rethrown here after the region drains.
-  void for_range(std::size_t n, int chunks, const RangeFn& fn)
-      HEPEX_EXCLUDES(mu_, dispatch_mu_);
+  void for_range(std::size_t n, int chunks, int participants,
+                 const RangeFn& fn) HEPEX_EXCLUDES(mu_, dispatch_mu_);
 
   /// The process-wide pool used by parallel_for / parallel_map.
   static ThreadPool& global();
@@ -101,6 +108,7 @@ class ThreadPool {
     std::size_t n = 0;
     int chunks = 0;
     const RangeFn* fn = nullptr;
+    std::atomic<int> seats{0};      // worker places left in the region
     std::atomic<int> next{0};       // next chunk index to claim
     std::atomic<int> remaining{0};  // chunks not yet completed
     util::Mutex error_mu;
@@ -122,9 +130,14 @@ class ThreadPool {
   util::Mutex dispatch_mu_;         // one parallel region at a time
 };
 
-/// Apply `fn(i)` for every i in [0, n) using `jobs` chunks (0 = default,
-/// 1 = inline). Deterministic: identical per-element computation at any
-/// job count.
+namespace detail {
+/// Chunks per participant in parallel_for (see the file comment).
+inline constexpr std::size_t kChunksPerJob = 4;
+}  // namespace detail
+
+/// Apply `fn(i)` for every i in [0, n) on `jobs` participants (0 = default,
+/// 1 = inline) claiming `min(n, 4 * jobs)` chunks. Deterministic:
+/// identical per-element computation at any job count.
 ///
 /// Cooperative cancellation (par/cancel.hpp): when the calling thread has
 /// an active CancelToken, the region re-installs it on every worker and
@@ -134,11 +147,9 @@ class ThreadPool {
 template <typename F>
 void parallel_for(std::size_t n, F&& fn, int jobs = 0) {
   if (n == 0) return;
-  const int resolved = resolve_jobs(jobs);
-  const int chunks =
-      static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(resolved), n));
+  const auto resolved = static_cast<std::size_t>(resolve_jobs(jobs));
   const CancelToken* tok = current_cancel_token();
-  if (chunks <= 1 || ThreadPool::in_worker()) {
+  if (resolved == 1 || n == 1 || ThreadPool::in_worker()) {
     if (tok == nullptr) {
       for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
@@ -163,7 +174,9 @@ void parallel_for(std::size_t n, F&& fn, int jobs = 0) {
       fn(i);
     }
   };
-  ThreadPool::global().for_range(n, chunks, body);
+  ThreadPool::global().for_range(
+      n, static_cast<int>(std::min(n, detail::kChunksPerJob * resolved)),
+      static_cast<int>(resolved), body);
 }
 
 /// Map `fn` over `in` with stable result ordering: out[i] = fn(in[i]).

@@ -17,8 +17,7 @@ std::vector<Measurement> simulate_ensemble(const hw::MachineSpec& machine,
                                            const hw::ClusterConfig& config,
                                            const SimOptions& base,
                                            std::size_t replicas, int jobs) {
-  HEPEX_REQUIRE(base.trace == nullptr && base.metrics == nullptr &&
-                    base.spans == nullptr,
+  HEPEX_REQUIRE(!base.has_sinks(),
                 "shared observability sinks cannot be attached to an "
                 "ensemble; use the per-replica setup overload");
   return simulate_ensemble(machine, program, config, base, replicas,

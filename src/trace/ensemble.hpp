@@ -46,9 +46,9 @@ using ReplicaSetup = std::function<void(std::size_t replica,
 /// `replica_seed(base.faults->seed, i)`. Results are in replica order and
 /// bit-identical at any job count.
 ///
-/// This overload requires `base.trace` and `base.metrics` to be null
-/// (sinks are single-consumer; sharing one across replicas would race) —
-/// use the `setup` overload to attach per-replica sinks.
+/// This overload requires `base.has_sinks()` to be false (sinks are
+/// single-consumer; sharing one across replicas would race) — use the
+/// `setup` overload to attach per-replica sinks.
 std::vector<Measurement> simulate_ensemble(const hw::MachineSpec& machine,
                                            const workload::ProgramSpec& program,
                                            const hw::ClusterConfig& config,

@@ -70,6 +70,13 @@ struct SimOptions {
   /// zero-perturbation guarantee as `trace`.
   obs::SpanAggregator* spans = nullptr;
 
+  /// True when `trace`, `metrics` or `spans` is attached. Those sinks are
+  /// single-consumer objects shared by every run given these options, so
+  /// a sweep over runs must stay serial (or reject them) while this holds.
+  bool has_sinks() const {
+    return trace != nullptr || metrics != nullptr || spans != nullptr;
+  }
+
   /// Optional fault-injection plan (non-owning, may be null). When set
   /// and non-empty, the engine runs in degraded mode: scheduled/random
   /// node crashes with barrier-timeout detection and abort or

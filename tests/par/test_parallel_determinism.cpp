@@ -327,3 +327,125 @@ TEST(ParallelDeterminism, ValidationReportIsBitIdenticalAtAnyJobCount) {
     EXPECT_TRUE(summaries_equal(serial.energy_error, parallel.energy_error));
   }
 }
+
+namespace {
+
+/// Field-wise bitwise Characterization comparison: every baseline point,
+/// the comm probe, the NetPIPE sweep and the power parameters.
+::testing::AssertionResult characterizations_equal(
+    const model::Characterization& a, const model::Characterization& b) {
+  if (a.baseline.size() != b.baseline.size()) {
+    return ::testing::AssertionFailure() << "baseline row count differs";
+  }
+  for (std::size_t c = 0; c < a.baseline.size(); ++c) {
+    if (a.baseline[c].size() != b.baseline[c].size()) {
+      return ::testing::AssertionFailure() << "row " << c << " size differs";
+    }
+    for (std::size_t fi = 0; fi < a.baseline[c].size(); ++fi) {
+      const model::BaselinePoint& x = a.baseline[c][fi];
+      const model::BaselinePoint& y = b.baseline[c][fi];
+      if (!same_bits(x.work_cycles, y.work_cycles) ||
+          !same_bits(x.nonmem_stalls, y.nonmem_stalls) ||
+          !same_bits(x.mem_stalls, y.mem_stalls) ||
+          !same_bits(x.utilization, y.utilization) ||
+          !same_bits(x.instructions, y.instructions)) {
+        return ::testing::AssertionFailure()
+               << "baseline bits differ at c=" << c + 1 << " fi=" << fi;
+      }
+    }
+  }
+  if (a.comm.n_probe != b.comm.n_probe ||
+      !same_bits(a.comm.eta, b.comm.eta) ||
+      !same_bits(a.comm.nu.value(), b.comm.nu.value()) ||
+      !same_bits(a.comm.size_cv, b.comm.size_cv)) {
+    return ::testing::AssertionFailure() << "comm probe bits differ";
+  }
+  if (a.network.points.size() != b.network.points.size() ||
+      !same_bits(a.network.achievable_bps.value(),
+                 b.network.achievable_bps.value()) ||
+      !same_bits(a.network.base_latency_s, b.network.base_latency_s) ||
+      !same_bits(a.msg_software_s_at_fmax, b.msg_software_s_at_fmax)) {
+    return ::testing::AssertionFailure() << "network bits differ";
+  }
+  for (std::size_t i = 0; i < a.network.points.size(); ++i) {
+    const auto& x = a.network.points[i];
+    const auto& y = b.network.points[i];
+    if (!same_bits(x.message_bytes.value(), y.message_bytes.value()) ||
+        !same_bits(x.latency_s, y.latency_s) ||
+        !same_bits(x.throughput_bps.value(), y.throughput_bps.value())) {
+      return ::testing::AssertionFailure() << "NetPIPE point " << i;
+    }
+  }
+  const auto watts_equal = [](const std::vector<q::Watts>& x,
+                              const std::vector<q::Watts>& y) {
+    if (x.size() != y.size()) return false;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (!same_bits(x[i].value(), y[i].value())) return false;
+    }
+    return true;
+  };
+  if (!watts_equal(a.power.core_active_w, b.power.core_active_w) ||
+      !watts_equal(a.power.core_stall_w, b.power.core_stall_w) ||
+      !same_bits(a.power.mem_active_w.value(), b.power.mem_active_w.value()) ||
+      !same_bits(a.power.net_active_w.value(), b.power.net_active_w.value()) ||
+      !same_bits(a.power.sys_idle_w.value(), b.power.sys_idle_w.value())) {
+    return ::testing::AssertionFailure() << "power bits differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// characterize() at default job count `jobs` (restored to 0 after).
+model::Characterization characterize_at(const hw::MachineSpec& machine,
+                                        const workload::ProgramSpec& program,
+                                        const model::CharacterizationOptions& o,
+                                        int jobs) {
+  par::set_default_jobs(jobs);
+  auto ch = model::characterize(machine, program, o);
+  par::set_default_jobs(0);
+  return ch;
+}
+
+}  // namespace
+
+TEST(ParallelDeterminism, CharacterizationIsBitIdenticalAtAnyJobCount) {
+  struct Case {
+    hw::MachineSpec machine;
+    const char* program;
+  };
+  const Case cases[] = {{hw::xeon_cluster(), "SP"}, {hw::arm_cluster(), "CP"}};
+  model::CharacterizationOptions o;
+  o.baseline_class = workload::InputClass::kS;
+  for (const Case& c : cases) {
+    const auto program =
+        workload::program_by_name(c.program, workload::InputClass::kW);
+    const auto serial = characterize_at(c.machine, program, o, 1);
+    ASSERT_EQ(serial.baseline.size(),
+              static_cast<std::size_t>(c.machine.node.cores));
+    for (int jobs : job_counts()) {
+      const auto parallel = characterize_at(c.machine, program, o, jobs);
+      EXPECT_TRUE(characterizations_equal(serial, parallel))
+          << c.program << " jobs=" << jobs;
+    }
+  }
+}
+
+TEST(ParallelDeterminism, CharacterizationWithSharedRegistryStaysSerial) {
+  // A registry shared by every baseline run is a single-consumer sink:
+  // the sweep must fall back to the serial loop, so the same runs feed it
+  // the same events at --jobs 4 as at --jobs 1 (and TSan sees no race).
+  const auto machine = hw::xeon_cluster();
+  const auto program =
+      workload::program_by_name("SP", workload::InputClass::kW);
+  const auto events_at = [&](int jobs) {
+    obs::Registry registry;
+    model::CharacterizationOptions o;
+    o.baseline_class = workload::InputClass::kS;
+    o.sim.metrics = &registry;
+    characterize_at(machine, program, o, jobs);
+    const auto* c = registry.find_counter("sim.events_processed");
+    return c == nullptr ? std::uint64_t{0} : std::uint64_t{c->value()};
+  };
+  const std::uint64_t serial = events_at(1);
+  EXPECT_GT(serial, 0u);
+  EXPECT_EQ(events_at(4), serial);
+}

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace par = hepex::par;
@@ -125,21 +129,61 @@ TEST(ParallelMap, EmptyInputGivesEmptyOutput) {
 
 TEST(ThreadPool, ForRangePartitionsExactly) {
   // Chunk boundaries must tile [0, n) without gaps or overlaps for every
-  // (n, chunks) shape, including n % chunks != 0.
+  // (n, chunks) shape, including n % chunks != 0 and more chunks than
+  // participants claiming them.
   par::ThreadPool pool;
   for (std::size_t n : {1u, 7u, 64u, 1000u}) {
     for (int chunks : {1, 2, 3, 7, 16}) {
-      std::vector<std::atomic<int>> hits(n);
-      pool.for_range(n, chunks, [&](std::size_t b, std::size_t e) {
-        ASSERT_LE(b, e);
-        ASSERT_LE(e, n);
-        for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1)
-            << "n=" << n << " chunks=" << chunks << " i=" << i;
+      for (int participants : {1, 2, 3, 16}) {
+        std::vector<std::atomic<int>> hits(n);
+        pool.for_range(n, chunks, participants,
+                       [&](std::size_t b, std::size_t e) {
+                         ASSERT_LE(b, e);
+                         ASSERT_LE(e, n);
+                         for (std::size_t i = b; i < e; ++i) {
+                           hits[i].fetch_add(1);
+                         }
+                       });
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[i].load(), 1)
+              << "n=" << n << " chunks=" << chunks
+              << " participants=" << participants << " i=" << i;
+        }
       }
     }
+  }
+}
+
+TEST(ThreadPool, SpawnsAtMostParticipantsMinusOneWorkers) {
+  par::ThreadPool pool;
+  for (int participants : {1, 2, 3}) {
+    std::atomic<int> sum{0};
+    pool.for_range(64, 16, participants, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) sum.fetch_add(1);
+    });
+    EXPECT_EQ(sum.load(), 64);
+    EXPECT_EQ(pool.workers(), participants - 1);
+  }
+  // A narrower region on the grown pool does not spawn more.
+  pool.for_range(64, 16, 2, [](std::size_t, std::size_t) {});
+  EXPECT_EQ(pool.workers(), 2);
+}
+
+TEST(ThreadPool, SurplusWorkersDoNotJoinANarrowerRegion) {
+  // A pool grown by a wider region keeps its workers; a later region with
+  // fewer participants must still run on at most that many threads.
+  par::ThreadPool pool(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::mutex mu;
+    std::set<std::thread::id> seen;
+    pool.for_range(32, 32, 2, [&](std::size_t, std::size_t) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        seen.insert(std::this_thread::get_id());
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    });
+    EXPECT_LE(seen.size(), 2u) << "rep " << rep;
   }
 }
 

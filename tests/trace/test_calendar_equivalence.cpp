@@ -142,8 +142,10 @@ void check_against_golden(const std::string& name, const Measurement& m) {
 
 /// The five paper programs (§IV) on both paper platforms, class S, at a
 /// mid-grid configuration that exercises multi-node contention.
+/// The parameters are std::string so that gtest prints them, and the
+/// ctest names show them, by value rather than as pointers.
 class CalendarEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
 
 TEST_P(CalendarEquivalence, BitIdenticalToGlobalCalendar) {
@@ -154,16 +156,18 @@ TEST_P(CalendarEquivalence, BitIdenticalToGlobalCalendar) {
   const hw::ClusterConfig cfg{4, machine.node.cores,
                               machine.node.dvfs.frequencies_hz.back()};
   const Measurement m = simulate(machine, program, cfg, {});
-  check_against_golden(std::string(machine_name) + "_" + program_name, m);
+  check_against_golden(machine_name + "_" + program_name, m);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PaperGrid, CalendarEquivalence,
-    ::testing::Combine(::testing::Values("xeon", "arm"),
-                       ::testing::Values("LU", "SP", "BT", "CP", "LB")),
+    ::testing::Combine(::testing::Values(std::string("xeon"),
+                                         std::string("arm")),
+                       ::testing::Values(std::string("LU"), std::string("SP"),
+                                         std::string("BT"), std::string("CP"),
+                                         std::string("LB"))),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param);
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
 /// One degraded-mode run covering crash detection, checkpoint/restart,

@@ -75,6 +75,13 @@ struct Scenario {
   hw::ClusterConfig config;
 };
 
+/// Prints the scenario by value; without it gtest dumps the struct's
+/// bytes, program pointer included, into the test's listed name.
+void PrintTo(const Scenario& s, std::ostream* os) {
+  *os << s.program << " n=" << s.config.nodes << " c=" << s.config.cores
+      << " f=" << s.config.f_hz.value() << "Hz";
+}
+
 class DeterminismTest : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(DeterminismTest, TracingDoesNotPerturbTheRun) {
