@@ -120,5 +120,38 @@ TEST(ScenarioErrors, ValidationErrorsCarryPathsToo) {
   EXPECT_NE(cfg_err.find("at least one node"), std::string::npos) << cfg_err;
 }
 
+/// One malformed value per field kind, each with its full message.
+TEST(ScenarioErrors, EachFieldKindRejectsAMalformedValue) {
+  struct Case {
+    const char* fragment;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"\"platform\": {\"node\": {\"cache\": {\"l1_per_core\": "
+       "\"32768\"}}}",
+       "s.json: platform.node.cache.l1_per_core: expected a size with unit suffix, got \"32768\""},
+      {"\"platform\": {\"network\": {\"bandwidth\": \"10\"}}",
+       "s.json: platform.network.bandwidth: expected bandwidth with unit suffix, got \"10\""},
+      {"\"platform\": {\"node\": {\"memory\": {\"bandwidth\": "
+       "\"12e9\"}}}",
+       "s.json: platform.node.memory.bandwidth: expected a byte rate with unit suffix, got \"12e9\""},
+      {"\"platform\": {\"node\": {\"power\": {\"sys_idle\": \"55\"}}}",
+       "s.json: platform.node.power.sys_idle: expected power with unit suffix, got \"55\""},
+      {"\"platform\": {\"node\": {\"isa\": {\"family\": \"sparc\"}}}",
+       "s.json: platform.node.isa.family: unknown ISA family 'sparc' (use x86_64 or armv7a)"},
+      {"\"workload\": {\"comm\": {\"pattern\": \"mesh\"}}", "s.json: workload.comm.pattern: unknown comm pattern 'mesh' (use halo-3d, wavefront, all-to-all or ring)"},
+      {"\"obs\": {\"profile\": 1}", "s.json: obs.profile: expected true or false, got 1"},
+      {"\"sim\": {\"seed\": -1}", "s.json: sim.seed: expected a non-negative integer seed (< 2^53), got -1"},
+      {"\"workload\": {\"grid\": {\"ai\": []}}", "s.json: workload.grid.ai: axis is empty (omit the key instead)"},
+      {"\"platform\": {\"node\": {\"dvfs\": {\"frequencies\": "
+       "\"2GHz\"}}}",
+       "s.json: platform.node.dvfs.frequencies: expected an array of frequencies, got \"2GHz\""},
+      {"\"platform\": {\"node\": {\"isa\": {\"bogus\": 1}}}", "s.json: platform.node.isa.bogus: unknown key"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(error_of(doc(c.fragment)), c.message) << c.fragment;
+  }
+}
+
 }  // namespace
 }  // namespace hepex::cfg
