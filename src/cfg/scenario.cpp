@@ -1,11 +1,13 @@
 #include "cfg/scenario.hpp"
 
 #include <cmath>
+#include <concepts>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "hw/presets.hpp"
@@ -26,58 +28,19 @@ namespace jn = util::json;
   throw std::invalid_argument(source + ": " + path + ": " + why);
 }
 
+/// Re-raise a registry or range error at `path`, without its `hepex: `
+/// prefix (the source/path prefix replaces it).
+[[noreturn]] void rethrow_at(const std::invalid_argument& e,
+                             const std::string& source,
+                             const std::string& path) {
+  std::string msg = e.what();
+  const std::string prefix = "hepex: ";
+  if (msg.rfind(prefix, 0) == 0) msg.erase(0, prefix.size());
+  fail_at(source, path, msg);
+}
+
 /// Compact rendering of a JSON value for "got ..." clauses.
 std::string repr(const jn::Value& v) { return jn::dump_compact(v); }
-
-/// Guided reader over one JSON object: typed access with full field
-/// paths in every error, and unknown-key rejection once all readers ran.
-class ObjReader {
- public:
-  ObjReader(const jn::Value& v, std::string path, const std::string& source)
-      : value_(v), path_(std::move(path)), source_(source) {
-    if (!v.is_object()) {
-      fail_at(source_, path_.empty() ? "(document)" : path_,
-              std::string("expected an object, got ") + repr(v));
-    }
-  }
-
-  /// Child path ("platform" + "network" -> "platform.network").
-  std::string sub(const std::string& key) const {
-    return path_.empty() ? key : path_ + "." + key;
-  }
-
-  /// Claim `key`; null when absent.
-  const jn::Value* get(const std::string& key) {
-    claimed_.insert(key);
-    return value_.find(key);
-  }
-
-  /// Claim `key`; error when absent.
-  const jn::Value& require(const std::string& key) {
-    const jn::Value* v = get(key);
-    if (v == nullptr) fail_at(source_, sub(key), "missing required key");
-    return *v;
-  }
-
-  /// Reject any member no reader claimed. Call after all get()s.
-  void reject_unknown() const {
-    for (const auto& [key, v] : value_.members()) {
-      (void)v;
-      if (claimed_.count(key) == 0) {
-        fail_at(source_, sub(key), "unknown key");
-      }
-    }
-  }
-
-  const std::string& path() const { return path_; }
-  const std::string& source() const { return source_; }
-
- private:
-  const jn::Value& value_;
-  std::string path_;
-  const std::string& source_;
-  std::set<std::string> claimed_;
-};
 
 // --- typed leaf readers ---------------------------------------------------
 
@@ -125,6 +88,58 @@ std::uint64_t read_seed(const jn::Value& v, const std::string& path,
   return static_cast<std::uint64_t>(d);
 }
 
+/// Check `v` is an array of `noun` and hand each element and its indexed
+/// path to `each`.
+template <class Each>
+void read_array(const jn::Value& v, const char* noun, const std::string& path,
+                const std::string& source, Each each) {
+  if (!v.is_array()) {
+    fail_at(source, path,
+            std::string("expected an array of ") + noun + ", got " + repr(v));
+  }
+  std::size_t i = 0;
+  for (const auto& e : v.as_array()) {
+    each(e, path + "[" + std::to_string(i) + "]");
+    ++i;
+  }
+}
+
+// --- unit quantities ------------------------------------------------------
+//
+// Scenarios spell every dimensioned value as a string with a unit suffix.
+// Quantities are written as "<shortest-round-trip-number><base unit>";
+// every base-unit suffix parses back with an exact 1.0 multiplier, which
+// is what makes load→save→load bit-identical.
+
+template <class Q>
+struct Unit {
+  const char* what;    ///< noun in errors: "expected <what> with unit suffix"
+  const char* suffix;  ///< base-unit suffix written on save
+  Q (*parse)(const std::string&);
+};
+
+const Unit<q::Hertz> kFrequency{"a frequency", "Hz", util::parse_frequency};
+const Unit<q::Seconds> kDuration{"a duration", "s", util::parse_duration};
+const Unit<q::Bytes> kSize{"a size", "B", util::parse_size};
+const Unit<q::BitsPerSec> kBandwidth{"bandwidth", "bit/s",
+                                     util::parse_bandwidth};
+const Unit<q::BytesPerSec> kByteRate{"a byte rate", "B/s",
+                                     util::parse_byte_rate};
+const Unit<q::Watts> kPower{"power", "W", util::parse_power};
+
+/// A quantity field is stored either as its q type or as a raw double in
+/// base units (the fault plan and a few hw/workload fields).
+double magnitude(double d) { return d; }
+template <class D>
+double magnitude(q::Quantity<D> x) {
+  return x.value();
+}
+
+template <class Q>
+std::string quantity_text(double magnitude, const Unit<Q>& u) {
+  return jn::number_to_string(magnitude) + u.suffix;
+}
+
 /// True when the whole (space-trimmed) text parses as a plain number —
 /// i.e. the unit suffix is missing.
 bool is_plain_number(const std::string& text) {
@@ -137,1003 +152,565 @@ bool is_plain_number(const std::string& text) {
   return *end == '\0';
 }
 
-/// A dimensioned value: a JSON string with an explicit unit suffix,
-/// parsed by one of the util::cli unit parsers. Bare numbers (with or
-/// without quotes) are rejected — scenarios must spell the unit.
-template <typename Parser>
-auto read_quantity(const jn::Value& v, const char* what, Parser parser,
-                   const std::string& path, const std::string& source)
-    -> decltype(parser(std::string{})) {
+/// Bare numbers (with or without quotes) are rejected: scenarios must
+/// spell the unit.
+template <class Q>
+Q read_quantity(const jn::Value& v, const Unit<Q>& u, const std::string& path,
+                const std::string& source) {
   if (!v.is_string()) {
-    fail_at(source, path, std::string("expected ") + what +
+    fail_at(source, path, std::string("expected ") + u.what +
                               " with unit suffix, got " + repr(v));
   }
   const std::string& text = v.as_string();
   if (is_plain_number(text)) {
-    fail_at(source, path, std::string("expected ") + what +
+    fail_at(source, path, std::string("expected ") + u.what +
                               " with unit suffix, got \"" + text + "\"");
   }
   try {
-    return parser(text);
+    return u.parse(text);
   } catch (const std::invalid_argument& e) {
-    std::string msg = e.what();
-    const std::string prefix = "hepex: ";
-    if (msg.rfind(prefix, 0) == 0) msg = msg.substr(prefix.size());
-    fail_at(source, path, msg);
+    rethrow_at(e, source, path);
   }
 }
 
-q::Hertz read_frequency(const jn::Value& v, const std::string& path,
-                        const std::string& source) {
-  return read_quantity(v, "a frequency", util::parse_frequency, path, source);
-}
+// --- enumerations ---------------------------------------------------------
 
-q::Seconds read_duration(const jn::Value& v, const std::string& path,
-                         const std::string& source) {
-  return read_quantity(v, "a duration", util::parse_duration, path, source);
-}
+template <class E, std::size_t N>
+struct Enum {
+  const char* what;  ///< noun in errors: "unknown <what> 'x' (use <hint>)"
+  const char* hint;
+  std::pair<const char*, E> names[N];
 
-q::Bytes read_size(const jn::Value& v, const std::string& path,
-                   const std::string& source) {
-  return read_quantity(v, "a size", util::parse_size, path, source);
-}
-
-q::BitsPerSec read_bandwidth(const jn::Value& v, const std::string& path,
-                             const std::string& source) {
-  return read_quantity(v, "bandwidth", util::parse_bandwidth, path, source);
-}
-
-q::BytesPerSec read_byte_rate(const jn::Value& v, const std::string& path,
-                              const std::string& source) {
-  return read_quantity(v, "a byte rate", util::parse_byte_rate, path, source);
-}
-
-q::Watts read_power(const jn::Value& v, const std::string& path,
-                    const std::string& source) {
-  return read_quantity(v, "power", util::parse_power, path, source);
-}
-
-std::vector<int> read_int_array(const jn::Value& v, const std::string& path,
-                                const std::string& source) {
-  if (!v.is_array()) {
-    fail_at(source, path, "expected an array of integers, got " + repr(v));
+  const char* name_of(E value) const {
+    for (const auto& [name, v] : names) {
+      if (v == value) return name;
+    }
+    fail_assert(std::string(what) + " value has no name");
   }
-  std::vector<int> out;
-  out.reserve(v.as_array().size());
-  std::size_t i = 0;
-  for (const auto& e : v.as_array()) {
-    out.push_back(
-        read_int(e, path + "[" + std::to_string(i) + "]", source));
-    ++i;
-  }
-  return out;
-}
+};
 
-std::vector<double> read_number_array(const jn::Value& v,
-                                      const std::string& path,
-                                      const std::string& source) {
-  if (!v.is_array()) {
-    fail_at(source, path, "expected an array of numbers, got " + repr(v));
-  }
-  // A present-but-empty axis would be indistinguishable from an absent
-  // one after save; reject it so canonical emission stays a fixed point.
-  if (v.as_array().empty()) {
-    fail_at(source, path, "axis is empty (omit the key instead)");
-  }
-  std::vector<double> out;
-  out.reserve(v.as_array().size());
-  std::size_t i = 0;
-  for (const auto& e : v.as_array()) {
-    out.push_back(
-        read_number(e, path + "[" + std::to_string(i) + "]", source));
-    ++i;
-  }
-  return out;
-}
+const Enum<hw::IsaFamily, 2> kIsaFamily{
+    "ISA family",
+    "x86_64 or armv7a",
+    {{"x86_64", hw::IsaFamily::kX86_64}, {"armv7a", hw::IsaFamily::kArmV7A}}};
 
-// --- canonical emission ---------------------------------------------------
+const Enum<workload::CommPattern, 4> kCommPattern{
+    "comm pattern",
+    "halo-3d, wavefront, all-to-all or ring",
+    {{"halo-3d", workload::CommPattern::kHalo3D},
+     {"wavefront", workload::CommPattern::kWavefront},
+     {"all-to-all", workload::CommPattern::kAllToAll},
+     {"ring", workload::CommPattern::kRing}}};
+
+const Enum<fault::RecoveryMode, 2> kRecoveryMode{
+    "recovery mode",
+    "abort or restart",
+    {{"abort", fault::RecoveryMode::kAbort},
+     {"restart", fault::RecoveryMode::kCheckpointRestart}}};
+
+// --- the two visitors -----------------------------------------------------
 //
-// Quantities are written as "<shortest-round-trip-number><base unit>";
-// every one of these suffixes parses back with an exact 1.0 multiplier,
-// which is what makes load→save→load bit-identical.
+// Each spec struct has one field list (`visit`, below) naming every key
+// once, with its kind. Reader walks it over one struct to load; Writer
+// walks it over a (value, base) pair to save.
 
-std::string freq_str(q::Hertz f) {
-  return jn::number_to_string(f.value()) + "Hz";
-}
-std::string dur_str(double seconds) {
-  return jn::number_to_string(seconds) + "s";
-}
-std::string size_str(double bytes) {
-  return jn::number_to_string(bytes) + "B";
-}
-std::string bw_str(q::BitsPerSec b) {
-  return jn::number_to_string(b.value()) + "bit/s";
-}
-std::string rate_str(q::BytesPerSec r) {
-  return jn::number_to_string(r.value()) + "B/s";
-}
-std::string power_str(q::Watts w) {
-  return jn::number_to_string(w.value()) + "W";
-}
+/// A field's key. Required keys must be present on load and are written
+/// on save even when they equal the base.
+struct Key {
+  /// Implicit, so a field list spells a plain key as a string literal.
+  constexpr Key(const char* n, bool req = false) : name(n), required(req) {}
+  const char* name;
+  bool required;
+};
 
-/// Append `key` to `obj` only when no base is given or the value differs
-/// from the base (canonical minimal emission).
-template <typename T, typename Emit>
-void diff(jn::Value& obj, const std::string& key, const T& value,
-          const T* base, Emit emit) {
-  if (base == nullptr || !(value == *base)) obj.set(key, emit(value));
-}
+constexpr Key required(const char* name) { return Key(name, true); }
 
-/// Same, for quantity magnitudes (value() returns by value, so the
-/// base comes through as an optional copy instead of a pointer).
-template <typename Emit>
-void diffd(jn::Value& obj, const std::string& key, double value,
-           std::optional<double> base, Emit emit) {
-  if (!base || value != *base) obj.set(key, emit(value));
-}
-
-void set_if_nonempty(jn::Value& parent, const std::string& key,
-                     jn::Value child) {
-  if (!child.members().empty()) parent.set(key, std::move(child));
-}
-
-// --- ISA family names -----------------------------------------------------
-
-std::string isa_family_name(hw::IsaFamily f) {
-  return f == hw::IsaFamily::kX86_64 ? "x86_64" : "armv7a";
-}
-
-hw::IsaFamily isa_family_from(const std::string& s, const std::string& path,
-                              const std::string& source) {
-  if (s == "x86_64") return hw::IsaFamily::kX86_64;
-  if (s == "armv7a") return hw::IsaFamily::kArmV7A;
-  fail_at(source, path,
-          "unknown ISA family '" + s + "' (use x86_64 or armv7a)");
-}
-
-// --- machine --------------------------------------------------------------
-
-void apply_isa(ObjReader& o, hw::Isa& isa) {
-  if (const auto* v = o.get("family")) {
-    isa.family = isa_family_from(read_string(*v, o.sub("family"), o.source()),
-                                 o.sub("family"), o.source());
-  }
-  if (const auto* v = o.get("name")) {
-    isa.name = read_string(*v, o.sub("name"), o.source());
-  }
-  if (const auto* v = o.get("work_cpi")) {
-    isa.work_cpi = read_number(*v, o.sub("work_cpi"), o.source());
-  }
-  if (const auto* v = o.get("pipeline_stall_per_work_cycle")) {
-    isa.pipeline_stall_per_work_cycle =
-        read_number(*v, o.sub("pipeline_stall_per_work_cycle"), o.source());
-  }
-  if (const auto* v = o.get("memory_overlap")) {
-    isa.memory_overlap = read_number(*v, o.sub("memory_overlap"), o.source());
-  }
-  if (const auto* v = o.get("memory_level_parallelism")) {
-    isa.memory_level_parallelism =
-        read_number(*v, o.sub("memory_level_parallelism"), o.source());
-  }
-  if (const auto* v = o.get("message_software_cycles")) {
-    isa.message_software_cycles =
-        read_number(*v, o.sub("message_software_cycles"), o.source());
-  }
-  o.reject_unknown();
-}
-
-jn::Value isa_json(const hw::Isa& isa, const hw::Isa* base) {
-  jn::Value obj = jn::Value::object();
-  diff(obj, "family", isa.family, base ? &base->family : nullptr,
-       [](hw::IsaFamily f) { return jn::Value(isa_family_name(f)); });
-  diff(obj, "name", isa.name, base ? &base->name : nullptr,
-       [](const std::string& s) { return jn::Value(s); });
-  auto num = [](double v) { return jn::Value(v); };
-  diff(obj, "work_cpi", isa.work_cpi, base ? &base->work_cpi : nullptr, num);
-  diff(obj, "pipeline_stall_per_work_cycle",
-       isa.pipeline_stall_per_work_cycle,
-       base ? &base->pipeline_stall_per_work_cycle : nullptr, num);
-  diff(obj, "memory_overlap", isa.memory_overlap,
-       base ? &base->memory_overlap : nullptr, num);
-  diff(obj, "memory_level_parallelism", isa.memory_level_parallelism,
-       base ? &base->memory_level_parallelism : nullptr, num);
-  diff(obj, "message_software_cycles", isa.message_software_cycles,
-       base ? &base->message_software_cycles : nullptr, num);
-  return obj;
-}
-
-void apply_dvfs(ObjReader& o, hw::DvfsRange& dvfs) {
-  if (const auto* v = o.get("frequencies")) {
-    const std::string path = o.sub("frequencies");
-    if (!v->is_array()) {
-      fail_at(o.source(), path,
-              "expected an array of frequencies, got " + repr(*v));
-    }
-    std::vector<q::Hertz> fs;
-    std::size_t i = 0;
-    for (const auto& e : v->as_array()) {
-      fs.push_back(read_frequency(e, path + "[" + std::to_string(i) + "]",
-                                  o.source()));
-      ++i;
-    }
-    dvfs.frequencies_hz = std::move(fs);
-  }
-  if (const auto* v = o.get("v_min")) {
-    dvfs.v_min = read_number(*v, o.sub("v_min"), o.source());
-  }
-  if (const auto* v = o.get("v_max")) {
-    dvfs.v_max = read_number(*v, o.sub("v_max"), o.source());
-  }
-  o.reject_unknown();
-}
-
-jn::Value dvfs_json(const hw::DvfsRange& dvfs, const hw::DvfsRange* base) {
-  jn::Value obj = jn::Value::object();
-  const bool same_freqs =
-      base != nullptr &&
-      dvfs.frequencies_hz.size() == base->frequencies_hz.size() &&
-      [&] {
-        for (std::size_t i = 0; i < dvfs.frequencies_hz.size(); ++i) {
-          if (dvfs.frequencies_hz[i].value() !=
-              base->frequencies_hz[i].value()) {
-            return false;
-          }
-        }
-        return true;
-      }();
-  if (!same_freqs) {
-    jn::Value arr = jn::Value::array();
-    for (q::Hertz f : dvfs.frequencies_hz) arr.push_back(freq_str(f));
-    obj.set("frequencies", std::move(arr));
-  }
-  auto num = [](double v) { return jn::Value(v); };
-  diff(obj, "v_min", dvfs.v_min, base ? &base->v_min : nullptr, num);
-  diff(obj, "v_max", dvfs.v_max, base ? &base->v_max : nullptr, num);
-  return obj;
-}
-
-void apply_cache(ObjReader& o, hw::CacheSpec& cache) {
-  if (const auto* v = o.get("l1_per_core")) {
-    cache.l1_per_core_bytes =
-        read_size(*v, o.sub("l1_per_core"), o.source()).value();
-  }
-  if (const auto* v = o.get("l2_shared")) {
-    cache.l2_shared_bytes =
-        read_size(*v, o.sub("l2_shared"), o.source()).value();
-  }
-  if (const auto* v = o.get("l3_shared")) {
-    cache.l3_shared_bytes =
-        read_size(*v, o.sub("l3_shared"), o.source()).value();
-  }
-  if (const auto* v = o.get("cold_miss_fraction")) {
-    cache.cold_miss_fraction =
-        read_number(*v, o.sub("cold_miss_fraction"), o.source());
-  }
-  if (const auto* v = o.get("knee")) {
-    cache.knee = read_number(*v, o.sub("knee"), o.source());
-  }
-  o.reject_unknown();
-}
-
-jn::Value cache_json(const hw::CacheSpec& cache, const hw::CacheSpec* base) {
-  jn::Value obj = jn::Value::object();
-  auto sz = [](double v) { return jn::Value(size_str(v)); };
-  auto num = [](double v) { return jn::Value(v); };
-  diff(obj, "l1_per_core", cache.l1_per_core_bytes,
-       base ? &base->l1_per_core_bytes : nullptr, sz);
-  diff(obj, "l2_shared", cache.l2_shared_bytes,
-       base ? &base->l2_shared_bytes : nullptr, sz);
-  diff(obj, "l3_shared", cache.l3_shared_bytes,
-       base ? &base->l3_shared_bytes : nullptr, sz);
-  diff(obj, "cold_miss_fraction", cache.cold_miss_fraction,
-       base ? &base->cold_miss_fraction : nullptr, num);
-  diff(obj, "knee", cache.knee, base ? &base->knee : nullptr, num);
-  return obj;
-}
-
-void apply_memory(ObjReader& o, hw::MemorySpec& mem) {
-  if (const auto* v = o.get("bandwidth")) {
-    mem.bandwidth_bytes_per_s =
-        read_byte_rate(*v, o.sub("bandwidth"), o.source());
-  }
-  if (const auto* v = o.get("latency")) {
-    mem.latency_s = read_duration(*v, o.sub("latency"), o.source());
-  }
-  if (const auto* v = o.get("capacity")) {
-    mem.capacity_bytes = read_size(*v, o.sub("capacity"), o.source());
-  }
-  if (const auto* v = o.get("line")) {
-    mem.line_bytes = read_size(*v, o.sub("line"), o.source());
-  }
-  o.reject_unknown();
-}
-
-jn::Value memory_json(const hw::MemorySpec& mem, const hw::MemorySpec* base) {
-  jn::Value obj = jn::Value::object();
-  auto opt = [base](auto member) {
-    return base ? std::optional<double>((base->*member).value())
-                : std::nullopt;
-  };
-  diffd(obj, "bandwidth", mem.bandwidth_bytes_per_s.value(),
-        opt(&hw::MemorySpec::bandwidth_bytes_per_s),
-        [](double v) { return jn::Value(rate_str(q::BytesPerSec{v})); });
-  diffd(obj, "latency", mem.latency_s.value(),
-        opt(&hw::MemorySpec::latency_s),
-        [](double v) { return jn::Value(dur_str(v)); });
-  diffd(obj, "capacity", mem.capacity_bytes.value(),
-        opt(&hw::MemorySpec::capacity_bytes),
-        [](double v) { return jn::Value(size_str(v)); });
-  diffd(obj, "line", mem.line_bytes.value(), opt(&hw::MemorySpec::line_bytes),
-        [](double v) { return jn::Value(size_str(v)); });
-  return obj;
-}
-
-void apply_power(ObjReader& o, hw::PowerSpec& power) {
-  if (const auto* v = o.get("core_active_coeff")) {
-    power.core.active_coeff =
-        read_number(*v, o.sub("core_active_coeff"), o.source());
-  }
-  if (const auto* v = o.get("core_stall_fraction")) {
-    power.core.stall_fraction =
-        read_number(*v, o.sub("core_stall_fraction"), o.source());
-  }
-  if (const auto* v = o.get("mem_active")) {
-    power.mem_active_w = read_power(*v, o.sub("mem_active"), o.source());
-  }
-  if (const auto* v = o.get("net_active")) {
-    power.net_active_w = read_power(*v, o.sub("net_active"), o.source());
-  }
-  if (const auto* v = o.get("sys_idle")) {
-    power.sys_idle_w = read_power(*v, o.sub("sys_idle"), o.source());
-  }
-  if (const auto* v = o.get("meter_offset_sigma")) {
-    power.meter_offset_sigma_w =
-        read_power(*v, o.sub("meter_offset_sigma"), o.source());
-  }
-  o.reject_unknown();
-}
-
-jn::Value power_json(const hw::PowerSpec& power, const hw::PowerSpec* base) {
-  jn::Value obj = jn::Value::object();
-  auto num = [](double v) { return jn::Value(v); };
-  auto pw = [](double v) { return jn::Value(power_str(q::Watts{v})); };
-  auto opt = [base](auto member) {
-    return base ? std::optional<double>((base->*member).value())
-                : std::nullopt;
-  };
-  diff(obj, "core_active_coeff", power.core.active_coeff,
-       base ? &base->core.active_coeff : nullptr, num);
-  diff(obj, "core_stall_fraction", power.core.stall_fraction,
-       base ? &base->core.stall_fraction : nullptr, num);
-  diffd(obj, "mem_active", power.mem_active_w.value(),
-        opt(&hw::PowerSpec::mem_active_w), pw);
-  diffd(obj, "net_active", power.net_active_w.value(),
-        opt(&hw::PowerSpec::net_active_w), pw);
-  diffd(obj, "sys_idle", power.sys_idle_w.value(),
-        opt(&hw::PowerSpec::sys_idle_w), pw);
-  diffd(obj, "meter_offset_sigma", power.meter_offset_sigma_w.value(),
-        opt(&hw::PowerSpec::meter_offset_sigma_w), pw);
-  return obj;
-}
-
-void apply_node(ObjReader& o, hw::NodeSpec& node) {
-  if (const auto* v = o.get("cores")) {
-    node.cores = read_int(*v, o.sub("cores"), o.source());
-  }
-  if (const auto* v = o.get("isa")) {
-    ObjReader io(*v, o.sub("isa"), o.source());
-    apply_isa(io, node.isa);
-  }
-  if (const auto* v = o.get("dvfs")) {
-    ObjReader do_(*v, o.sub("dvfs"), o.source());
-    apply_dvfs(do_, node.dvfs);
-  }
-  if (const auto* v = o.get("cache")) {
-    ObjReader co(*v, o.sub("cache"), o.source());
-    apply_cache(co, node.cache);
-  }
-  if (const auto* v = o.get("memory")) {
-    ObjReader mo(*v, o.sub("memory"), o.source());
-    apply_memory(mo, node.memory);
-  }
-  if (const auto* v = o.get("power")) {
-    ObjReader po(*v, o.sub("power"), o.source());
-    apply_power(po, node.power);
-  }
-  o.reject_unknown();
-}
-
-jn::Value node_json(const hw::NodeSpec& node, const hw::NodeSpec* base) {
-  jn::Value obj = jn::Value::object();
-  diff(obj, "cores", node.cores, base ? &base->cores : nullptr,
-       [](int v) { return jn::Value(v); });
-  set_if_nonempty(obj, "isa", isa_json(node.isa, base ? &base->isa : nullptr));
-  set_if_nonempty(obj, "dvfs",
-                  dvfs_json(node.dvfs, base ? &base->dvfs : nullptr));
-  set_if_nonempty(obj, "cache",
-                  cache_json(node.cache, base ? &base->cache : nullptr));
-  set_if_nonempty(obj, "memory",
-                  memory_json(node.memory, base ? &base->memory : nullptr));
-  set_if_nonempty(obj, "power",
-                  power_json(node.power, base ? &base->power : nullptr));
-  return obj;
-}
-
-void apply_network(ObjReader& o, hw::NetworkSpec& net) {
-  if (const auto* v = o.get("bandwidth")) {
-    net.link_bits_per_s = read_bandwidth(*v, o.sub("bandwidth"), o.source());
-  }
-  if (const auto* v = o.get("switch_latency")) {
-    net.switch_latency_s =
-        read_duration(*v, o.sub("switch_latency"), o.source());
-  }
-  if (const auto* v = o.get("header_bytes_per_frame")) {
-    net.header_bytes_per_frame =
-        read_size(*v, o.sub("header_bytes_per_frame"), o.source());
-  }
-  if (const auto* v = o.get("payload_bytes_per_frame")) {
-    net.payload_bytes_per_frame =
-        read_size(*v, o.sub("payload_bytes_per_frame"), o.source());
-  }
-  o.reject_unknown();
-}
-
-jn::Value network_json(const hw::NetworkSpec& net,
-                       const hw::NetworkSpec* base) {
-  jn::Value obj = jn::Value::object();
-  auto opt = [base](auto member) {
-    return base ? std::optional<double>((base->*member).value())
-                : std::nullopt;
-  };
-  diffd(obj, "bandwidth", net.link_bits_per_s.value(),
-        opt(&hw::NetworkSpec::link_bits_per_s),
-        [](double v) { return jn::Value(bw_str(q::BitsPerSec{v})); });
-  diffd(obj, "switch_latency", net.switch_latency_s.value(),
-        opt(&hw::NetworkSpec::switch_latency_s),
-        [](double v) { return jn::Value(dur_str(v)); });
-  diffd(obj, "header_bytes_per_frame", net.header_bytes_per_frame.value(),
-        opt(&hw::NetworkSpec::header_bytes_per_frame),
-        [](double v) { return jn::Value(size_str(v)); });
-  diffd(obj, "payload_bytes_per_frame", net.payload_bytes_per_frame.value(),
-        opt(&hw::NetworkSpec::payload_bytes_per_frame),
-        [](double v) { return jn::Value(size_str(v)); });
-  return obj;
-}
-
-/// Apply machine-level keys (everything except "preset") from `o`.
-void apply_machine(ObjReader& o, hw::MachineSpec& m) {
-  if (const auto* v = o.get("name")) {
-    m.name = read_string(*v, o.sub("name"), o.source());
-  }
-  if (const auto* v = o.get("nodes_available")) {
-    m.nodes_available = read_int(*v, o.sub("nodes_available"), o.source());
-  }
-  if (const auto* v = o.get("model_node_counts")) {
-    m.model_node_counts =
-        read_int_array(*v, o.sub("model_node_counts"), o.source());
-  }
-  if (const auto* v = o.get("node")) {
-    ObjReader no(*v, o.sub("node"), o.source());
-    apply_node(no, m.node);
-  }
-  if (const auto* v = o.get("network")) {
-    ObjReader no(*v, o.sub("network"), o.source());
-    apply_network(no, m.network);
-  }
-}
-
-/// Machine-level keys as a diff vs `base` (all fields when base is null).
-jn::Value machine_json(const hw::MachineSpec& m, const hw::MachineSpec* base) {
-  jn::Value obj = jn::Value::object();
-  diff(obj, "name", m.name, base ? &base->name : nullptr,
-       [](const std::string& s) { return jn::Value(s); });
-  diff(obj, "nodes_available", m.nodes_available,
-       base ? &base->nodes_available : nullptr,
-       [](int v) { return jn::Value(v); });
-  diff(obj, "model_node_counts", m.model_node_counts,
-       base ? &base->model_node_counts : nullptr,
-       [](const std::vector<int>& counts) {
-         jn::Value arr = jn::Value::array();
-         for (int n : counts) arr.push_back(jn::Value(n));
-         return arr;
-       });
-  set_if_nonempty(obj, "node", node_json(m.node, base ? &base->node : nullptr));
-  set_if_nonempty(obj, "network",
-                  network_json(m.network, base ? &base->network : nullptr));
-  return obj;
-}
-
-// --- program --------------------------------------------------------------
-
-void apply_compute(ObjReader& o, workload::ComputeSpec& c) {
-  auto num = [&](const char* key, double& field) {
-    if (const auto* v = o.get(key)) {
-      field = read_number(*v, o.sub(key), o.source());
-    }
-  };
-  num("instructions_per_iter", c.instructions_per_iter);
-  num("cpi_factor", c.cpi_factor);
-  num("stall_factor", c.stall_factor);
-  num("bytes_per_instruction", c.bytes_per_instruction);
-  num("reuse_bytes_per_instruction", c.reuse_bytes_per_instruction);
-  if (const auto* v = o.get("reuse_window")) {
-    c.reuse_window_bytes =
-        read_size(*v, o.sub("reuse_window"), o.source()).value();
-  }
-  if (const auto* v = o.get("working_set")) {
-    c.working_set_bytes =
-        read_size(*v, o.sub("working_set"), o.source()).value();
-  }
-  num("serial_fraction", c.serial_fraction);
-  num("imbalance", c.imbalance);
-  num("node_imbalance", c.node_imbalance);
-  o.reject_unknown();
-}
-
-jn::Value compute_json(const workload::ComputeSpec& c,
-                       const workload::ComputeSpec* base) {
-  jn::Value obj = jn::Value::object();
-  auto num = [](double v) { return jn::Value(v); };
-  auto sz = [](double v) { return jn::Value(size_str(v)); };
-  diff(obj, "instructions_per_iter", c.instructions_per_iter,
-       base ? &base->instructions_per_iter : nullptr, num);
-  diff(obj, "cpi_factor", c.cpi_factor, base ? &base->cpi_factor : nullptr,
-       num);
-  diff(obj, "stall_factor", c.stall_factor,
-       base ? &base->stall_factor : nullptr, num);
-  diff(obj, "bytes_per_instruction", c.bytes_per_instruction,
-       base ? &base->bytes_per_instruction : nullptr, num);
-  diff(obj, "reuse_bytes_per_instruction", c.reuse_bytes_per_instruction,
-       base ? &base->reuse_bytes_per_instruction : nullptr, num);
-  diff(obj, "reuse_window", c.reuse_window_bytes,
-       base ? &base->reuse_window_bytes : nullptr, sz);
-  diff(obj, "working_set", c.working_set_bytes,
-       base ? &base->working_set_bytes : nullptr, sz);
-  diff(obj, "serial_fraction", c.serial_fraction,
-       base ? &base->serial_fraction : nullptr, num);
-  diff(obj, "imbalance", c.imbalance, base ? &base->imbalance : nullptr, num);
-  diff(obj, "node_imbalance", c.node_imbalance,
-       base ? &base->node_imbalance : nullptr, num);
-  return obj;
-}
-
-void apply_comm(ObjReader& o, workload::CommSpec& c) {
-  if (const auto* v = o.get("pattern")) {
-    const std::string s = read_string(*v, o.sub("pattern"), o.source());
-    try {
-      c.pattern = workload::comm_pattern_from_string(s);
-    } catch (const std::invalid_argument&) {
-      fail_at(o.source(), o.sub("pattern"),
-              "unknown comm pattern '" + s +
-                  "' (use halo-3d, wavefront, all-to-all or ring)");
+/// Load visitor over one JSON object: claims each key it is asked for,
+/// type-checks it with its full field path, and stores it in the field.
+/// reject_unknown() then fails on any member no field claimed.
+class Reader {
+ public:
+  Reader(const jn::Value& v, std::string path, const std::string& source)
+      : value_(v), path_(std::move(path)), source_(source) {
+    if (!v.is_object()) {
+      fail_at(source_, path_.empty() ? "(document)" : path_,
+              std::string("expected an object, got ") + repr(v));
     }
   }
-  if (const auto* v = o.get("base_bytes")) {
-    c.base_bytes = read_size(*v, o.sub("base_bytes"), o.source()).value();
-  }
-  if (const auto* v = o.get("rounds")) {
-    c.rounds = read_int(*v, o.sub("rounds"), o.source());
-  }
-  if (const auto* v = o.get("size_cv")) {
-    c.size_cv = read_number(*v, o.sub("size_cv"), o.source());
-  }
-  o.reject_unknown();
-}
 
-jn::Value comm_json(const workload::CommSpec& c,
-                    const workload::CommSpec* base) {
-  jn::Value obj = jn::Value::object();
-  diff(obj, "pattern", c.pattern, base ? &base->pattern : nullptr,
-       [](workload::CommPattern p) {
-         return jn::Value(workload::to_string(p));
-       });
-  diff(obj, "base_bytes", c.base_bytes, base ? &base->base_bytes : nullptr,
-       [](double v) { return jn::Value(size_str(v)); });
-  diff(obj, "rounds", c.rounds, base ? &base->rounds : nullptr,
-       [](int v) { return jn::Value(v); });
-  diff(obj, "size_cv", c.size_cv, base ? &base->size_cv : nullptr,
-       [](double v) { return jn::Value(v); });
-  return obj;
-}
+  /// Read the object at `v` into `out` through its field list.
+  template <class T>
+  static void read(const jn::Value& v, const std::string& path,
+                   const std::string& source, T& out) {
+    Reader r(v, path, source);
+    visit(r, out);
+    r.reject_unknown();
+  }
 
-void apply_sync(ObjReader& o, workload::SyncSpec& s) {
-  if (const auto* v = o.get("base_cycles")) {
-    s.base_cycles = read_number(*v, o.sub("base_cycles"), o.source());
+  /// Child path ("platform" + "network" -> "platform.network").
+  std::string sub(const std::string& key) const {
+    return path_.empty() ? key : path_ + "." + key;
   }
-  if (const auto* v = o.get("cycles_per_total_core")) {
-    s.cycles_per_total_core =
-        read_number(*v, o.sub("cycles_per_total_core"), o.source());
-  }
-  o.reject_unknown();
-}
 
-jn::Value sync_json(const workload::SyncSpec& s,
-                    const workload::SyncSpec* base) {
-  jn::Value obj = jn::Value::object();
-  auto num = [](double v) { return jn::Value(v); };
-  diff(obj, "base_cycles", s.base_cycles, base ? &base->base_cycles : nullptr,
-       num);
-  diff(obj, "cycles_per_total_core", s.cycles_per_total_core,
-       base ? &base->cycles_per_total_core : nullptr, num);
-  return obj;
-}
+  /// Claim `key`; null when absent.
+  const jn::Value* get(const std::string& key) {
+    claimed_.insert(key);
+    return value_.find(key);
+  }
 
-void apply_program(ObjReader& o, workload::ProgramSpec& p) {
-  auto str = [&](const char* key, std::string& field) {
-    if (const auto* v = o.get(key)) {
-      field = read_string(*v, o.sub(key), o.source());
-    }
-  };
-  str("name", p.name);
-  str("suite", p.suite);
-  str("language", p.language);
-  str("domain", p.domain);
-  if (const auto* v = o.get("iterations")) {
-    p.iterations = read_int(*v, o.sub("iterations"), o.source());
+  /// Claim `key`; error when absent.
+  const jn::Value& require(const std::string& key) {
+    const jn::Value* v = get(key);
+    if (v == nullptr) fail_at(source_, sub(key), "missing required key");
+    return *v;
   }
-  if (const auto* v = o.get("compute")) {
-    ObjReader co(*v, o.sub("compute"), o.source());
-    apply_compute(co, p.compute);
-  }
-  if (const auto* v = o.get("comm")) {
-    ObjReader co(*v, o.sub("comm"), o.source());
-    apply_comm(co, p.comm);
-  }
-  if (const auto* v = o.get("sync")) {
-    ObjReader so(*v, o.sub("sync"), o.source());
-    apply_sync(so, p.sync);
-  }
-}
 
-jn::Value program_json(const workload::ProgramSpec& p,
-                       const workload::ProgramSpec* base) {
-  jn::Value obj = jn::Value::object();
-  auto str = [](const std::string& s) { return jn::Value(s); };
-  diff(obj, "name", p.name, base ? &base->name : nullptr, str);
-  diff(obj, "suite", p.suite, base ? &base->suite : nullptr, str);
-  diff(obj, "language", p.language, base ? &base->language : nullptr, str);
-  diff(obj, "domain", p.domain, base ? &base->domain : nullptr, str);
-  diff(obj, "iterations", p.iterations, base ? &base->iterations : nullptr,
-       [](int v) { return jn::Value(v); });
-  set_if_nonempty(obj, "compute",
-                  compute_json(p.compute, base ? &base->compute : nullptr));
-  set_if_nonempty(obj, "comm",
-                  comm_json(p.comm, base ? &base->comm : nullptr));
-  set_if_nonempty(obj, "sync",
-                  sync_json(p.sync, base ? &base->sync : nullptr));
-  return obj;
-}
+  /// Reject any member no field claimed. Call after all get()s.
+  void reject_unknown() const {
+    for (const auto& [key, v] : value_.members()) {
+      (void)v;
+      if (claimed_.count(key) == 0) fail_at(source_, sub(key), "unknown key");
+    }
+  }
 
-// --- synthetic grid -------------------------------------------------------
+  void str(Key k, std::string& f) {
+    if (const auto* v = claim(k)) f = read_string(*v, sub(k.name), source_);
+  }
+  void boolean(Key k, bool& f) {
+    if (const auto* v = claim(k)) f = read_bool(*v, sub(k.name), source_);
+  }
+  void num(Key k, double& f) {
+    if (const auto* v = claim(k)) f = read_number(*v, sub(k.name), source_);
+  }
+  void integer(Key k, int& f) {
+    if (const auto* v = claim(k)) f = read_int(*v, sub(k.name), source_);
+  }
+  void seed(Key k, std::uint64_t& f) {
+    if (const auto* v = claim(k)) f = read_seed(*v, sub(k.name), source_);
+  }
 
-workload::SyntheticGrid read_synthetic_grid(const jn::Value& v,
-                                            const std::string& path,
-                                            const std::string& source) {
-  ObjReader o(v, path, source);
-  workload::SyntheticGrid g;
-  if (const auto* a = o.get("ai")) {
-    g.arithmetic_intensity = read_number_array(*a, o.sub("ai"), source);
-  }
-  if (const auto* a = o.get("bpi")) {
-    g.bytes_per_instruction = read_number_array(*a, o.sub("bpi"), source);
-  }
-  if (const auto* a = o.get("mi")) {
-    g.message_intensity = read_number_array(*a, o.sub("mi"), source);
-  }
-  if (const auto* a = o.get("imb")) {
-    g.imbalance = read_number_array(*a, o.sub("imb"), source);
-  }
-  if (const auto* a = o.get("sf")) {
-    g.serial_fraction = read_number_array(*a, o.sub("sf"), source);
-  }
-  if (const auto* sd = o.get("seed")) {
-    g.seed = read_seed(*sd, o.sub("seed"), source);
-  }
-  o.reject_unknown();
-  // Expand immediately: the point cap and per-point range checks fire at
-  // load time with the grid's field path, not at first use.
-  try {
-    (void)g.expand();
-  } catch (const std::invalid_argument& e) {
-    std::string msg = e.what();
-    const std::string prefix = "hepex: ";
-    if (msg.rfind(prefix, 0) == 0) msg = msg.substr(prefix.size());
-    fail_at(source, path, msg);
-  }
-  return g;
-}
-
-jn::Value synthetic_grid_json(const workload::SyntheticGrid& g) {
-  jn::Value obj = jn::Value::object();
-  auto axis = [&obj](const char* key, const std::vector<double>& values) {
-    if (values.empty()) return;
-    jn::Value arr = jn::Value::array();
-    for (double v : values) arr.push_back(jn::Value(v));
-    obj.set(key, std::move(arr));
-  };
-  axis("ai", g.arithmetic_intensity);
-  axis("bpi", g.bytes_per_instruction);
-  axis("mi", g.message_intensity);
-  axis("imb", g.imbalance);
-  axis("sf", g.serial_fraction);
-  if (g.seed != 0) obj.set("seed", jn::Value(static_cast<double>(g.seed)));
-  return obj;
-}
-
-// --- faults ---------------------------------------------------------------
-
-fault::Plan read_faults(const jn::Value& v, const std::string& path,
-                        const std::string& source) {
-  fault::Plan plan;
-  ObjReader o(v, path, source);
-  if (const auto* s = o.get("seed")) {
-    plan.seed = read_seed(*s, o.sub("seed"), source);
-  }
-  if (const auto* s = o.get("node_mtbf")) {
-    plan.random_failures.node_mtbf_s =
-        read_duration(*s, o.sub("node_mtbf"), source).value();
-  }
-  if (const auto* s = o.get("crashes")) {
-    const std::string p = o.sub("crashes");
-    if (!s->is_array()) {
-      fail_at(source, p, "expected an array of crashes, got " + repr(*s));
-    }
-    std::size_t i = 0;
-    for (const auto& e : s->as_array()) {
-      const std::string ep = p + "[" + std::to_string(i) + "]";
-      ObjReader eo(e, ep, source);
-      fault::NodeCrash c;
-      c.node = read_int(eo.require("node"), eo.sub("node"), source);
-      c.at_s = read_duration(eo.require("at"), eo.sub("at"), source).value();
-      eo.reject_unknown();
-      plan.crashes.push_back(c);
-      ++i;
-    }
-  }
-  if (const auto* s = o.get("stragglers")) {
-    const std::string p = o.sub("stragglers");
-    if (!s->is_array()) {
-      fail_at(source, p, "expected an array of stragglers, got " + repr(*s));
-    }
-    std::size_t i = 0;
-    for (const auto& e : s->as_array()) {
-      const std::string ep = p + "[" + std::to_string(i) + "]";
-      ObjReader eo(e, ep, source);
-      fault::Straggler st;
-      st.node = read_int(eo.require("node"), eo.sub("node"), source);
-      st.start_s =
-          read_duration(eo.require("start"), eo.sub("start"), source).value();
-      st.duration_s =
-          read_duration(eo.require("duration"), eo.sub("duration"), source)
-              .value();
-      st.slowdown =
-          read_number(eo.require("slowdown"), eo.sub("slowdown"), source);
-      eo.reject_unknown();
-      plan.stragglers.push_back(st);
-      ++i;
-    }
-  }
-  if (const auto* s = o.get("throttles")) {
-    const std::string p = o.sub("throttles");
-    if (!s->is_array()) {
-      fail_at(source, p, "expected an array of throttles, got " + repr(*s));
-    }
-    std::size_t i = 0;
-    for (const auto& e : s->as_array()) {
-      const std::string ep = p + "[" + std::to_string(i) + "]";
-      ObjReader eo(e, ep, source);
-      fault::Throttle t;
-      t.node = read_int(eo.require("node"), eo.sub("node"), source);
-      t.start_s =
-          read_duration(eo.require("start"), eo.sub("start"), source).value();
-      t.duration_s =
-          read_duration(eo.require("duration"), eo.sub("duration"), source)
-              .value();
-      t.f_cap_hz =
-          read_frequency(eo.require("f_cap"), eo.sub("f_cap"), source).value();
-      eo.reject_unknown();
-      plan.throttles.push_back(t);
-      ++i;
-    }
-  }
-  if (const auto* s = o.get("network_degradations")) {
-    const std::string p = o.sub("network_degradations");
-    if (!s->is_array()) {
-      fail_at(source, p,
-              "expected an array of degradation windows, got " + repr(*s));
-    }
-    std::size_t i = 0;
-    for (const auto& e : s->as_array()) {
-      const std::string ep = p + "[" + std::to_string(i) + "]";
-      ObjReader eo(e, ep, source);
-      fault::NetworkDegradation d;
-      d.start_s =
-          read_duration(eo.require("start"), eo.sub("start"), source).value();
-      d.duration_s =
-          read_duration(eo.require("duration"), eo.sub("duration"), source)
-              .value();
-      if (const auto* m = eo.get("latency_mult")) {
-        d.latency_mult = read_number(*m, eo.sub("latency_mult"), source);
-      }
-      if (const auto* m = eo.get("bandwidth_mult")) {
-        d.bandwidth_mult = read_number(*m, eo.sub("bandwidth_mult"), source);
-      }
-      if (const auto* m = eo.get("drop_prob")) {
-        d.drop_prob = read_number(*m, eo.sub("drop_prob"), source);
-      }
-      eo.reject_unknown();
-      plan.net_degradations.push_back(d);
-      ++i;
-    }
-  }
-  if (const auto* s = o.get("jitter_storms")) {
-    const std::string p = o.sub("jitter_storms");
-    if (!s->is_array()) {
-      fail_at(source, p,
-              "expected an array of jitter storms, got " + repr(*s));
-    }
-    std::size_t i = 0;
-    for (const auto& e : s->as_array()) {
-      const std::string ep = p + "[" + std::to_string(i) + "]";
-      ObjReader eo(e, ep, source);
-      fault::JitterStorm j;
-      j.start_s =
-          read_duration(eo.require("start"), eo.sub("start"), source).value();
-      j.duration_s =
-          read_duration(eo.require("duration"), eo.sub("duration"), source)
-              .value();
-      j.jitter_cv =
-          read_number(eo.require("jitter_cv"), eo.sub("jitter_cv"), source);
-      eo.reject_unknown();
-      plan.jitter_storms.push_back(j);
-      ++i;
-    }
-  }
-  if (const auto* s = o.get("recovery")) {
-    ObjReader ro(*s, o.sub("recovery"), source);
-    if (const auto* m = ro.get("mode")) {
-      const std::string mode = read_string(*m, ro.sub("mode"), source);
-      if (mode == "abort") {
-        plan.recovery.mode = fault::RecoveryMode::kAbort;
-      } else if (mode == "restart") {
-        plan.recovery.mode = fault::RecoveryMode::kCheckpointRestart;
+  template <class Q, class T>
+  void unit(Key k, const Unit<Q>& u, T& f) {
+    if (const auto* v = claim(k)) {
+      const Q x = read_quantity(*v, u, sub(k.name), source_);
+      if constexpr (std::is_same_v<T, double>) {
+        f = x.value();
       } else {
-        fail_at(source, ro.sub("mode"),
-                "unknown recovery mode '" + mode +
-                    "' (use abort or restart)");
+        f = x;
       }
     }
-    if (const auto* m = ro.get("barrier_timeout")) {
-      plan.recovery.barrier_timeout_s =
-          read_duration(*m, ro.sub("barrier_timeout"), source).value();
-    }
-    if (const auto* m = ro.get("checkpoint_interval")) {
-      plan.recovery.checkpoint_interval_s =
-          read_duration(*m, ro.sub("checkpoint_interval"), source).value();
-    }
-    if (const auto* m = ro.get("checkpoint_write")) {
-      plan.recovery.checkpoint_write_s =
-          read_duration(*m, ro.sub("checkpoint_write"), source).value();
-    }
-    if (const auto* m = ro.get("restart_cost")) {
-      plan.recovery.restart_s =
-          read_duration(*m, ro.sub("restart_cost"), source).value();
-    }
-    if (const auto* m = ro.get("spare_nodes")) {
-      plan.recovery.spare_nodes = read_int(*m, ro.sub("spare_nodes"), source);
-    }
-    ro.reject_unknown();
   }
-  if (const auto* s = o.get("retransmit_timeout")) {
-    plan.retransmit_timeout_s =
-        read_duration(*s, o.sub("retransmit_timeout"), source).value();
+
+  template <class E, std::size_t N>
+  void choice(Key k, const Enum<E, N>& e, E& f) {
+    const auto* v = claim(k);
+    if (v == nullptr) return;
+    const std::string path = sub(k.name);
+    const std::string s = read_string(*v, path, source_);
+    for (const auto& [name, value] : e.names) {
+      if (s == name) {
+        f = value;
+        return;
+      }
+    }
+    fail_at(source_, path, std::string("unknown ") + e.what + " '" + s +
+                               "' (use " + e.hint + ")");
   }
-  if (const auto* s = o.get("max_retransmits")) {
-    plan.max_retransmits = read_int(*s, o.sub("max_retransmits"), source);
+
+  void ints(Key k, std::vector<int>& f) {
+    const auto* v = claim(k);
+    if (v == nullptr) return;
+    f.clear();
+    read_array(*v, "integers", sub(k.name), source_,
+               [&](const jn::Value& e, const std::string& p) {
+                 f.push_back(read_int(e, p, source_));
+               });
   }
-  o.reject_unknown();
-  return plan;
+
+  /// A non-empty number axis: a present-but-empty axis would be
+  /// indistinguishable from an absent one after save, so it is rejected
+  /// to keep canonical emission a fixed point.
+  void axis(Key k, std::vector<double>& f) {
+    const auto* v = claim(k);
+    if (v == nullptr) return;
+    if (v->is_array() && v->as_array().empty()) {
+      fail_at(source_, sub(k.name), "axis is empty (omit the key instead)");
+    }
+    f.clear();
+    read_array(*v, "numbers", sub(k.name), source_,
+               [&](const jn::Value& e, const std::string& p) {
+                 f.push_back(read_number(e, p, source_));
+               });
+  }
+
+  void freqs(Key k, std::vector<q::Hertz>& f) {
+    const auto* v = claim(k);
+    if (v == nullptr) return;
+    f.clear();
+    read_array(*v, "frequencies", sub(k.name), source_,
+               [&](const jn::Value& e, const std::string& p) {
+                 f.push_back(read_quantity(e, kFrequency, p, source_));
+               });
+  }
+
+  template <class T>
+  void obj(Key k, T& f) {
+    if (const auto* v = claim(k)) read(*v, sub(k.name), source_, f);
+  }
+
+  /// An array of objects; `noun` names the elements in type errors.
+  template <class T>
+  void objs(Key k, const char* noun, std::vector<T>& f) {
+    const auto* v = claim(k);
+    if (v == nullptr) return;
+    f.clear();
+    read_array(*v, noun, sub(k.name), source_,
+               [&](const jn::Value& e, const std::string& p) {
+                 read(e, p, source_, f.emplace_back());
+               });
+  }
+
+ private:
+  const jn::Value* claim(Key k) {
+    return k.required ? &require(k.name) : get(k.name);
+  }
+
+  const jn::Value& value_;
+  std::string path_;
+  const std::string& source_;
+  std::set<std::string> claimed_;
+};
+
+/// Save visitor over a (value, base) pair: writes a key when the value
+/// differs from the base (`!(a == b)`), when the key is required, or
+/// always in full mode. Nested objects that come out empty are dropped,
+/// and so are empty arrays of objects and empty axes (both spell
+/// "absent").
+class Writer {
+ public:
+  explicit Writer(bool full) : full_(full) {}
+
+  /// `value` through its field list, diffed against `base` (or in full
+  /// when `full`).
+  template <class T>
+  static jn::Value write(const T& value, const T& base, bool full) {
+    Writer w(full);
+    visit(w, value, base);
+    return w.take();
+  }
+
+  jn::Value take() { return std::move(out_); }
+
+  /// A key outside the field lists (a registry reference, a section).
+  void set(const std::string& key, jn::Value v) {
+    out_.set(key, std::move(v));
+  }
+
+  void str(Key k, const std::string& a, const std::string& b) {
+    if (differs(k, a, b)) out_.set(k.name, jn::Value(a));
+  }
+  void boolean(Key k, bool a, bool b) {
+    if (differs(k, a, b)) out_.set(k.name, jn::Value(a));
+  }
+  void num(Key k, double a, double b) {
+    if (differs(k, a, b)) out_.set(k.name, jn::Value(a));
+  }
+  void integer(Key k, int a, int b) {
+    if (differs(k, a, b)) out_.set(k.name, jn::Value(a));
+  }
+  void seed(Key k, std::uint64_t a, std::uint64_t b) {
+    if (differs(k, a, b)) out_.set(k.name, jn::Value(static_cast<double>(a)));
+  }
+
+  template <class Q, class T>
+  void unit(Key k, const Unit<Q>& u, const T& a, const T& b) {
+    if (differs(k, magnitude(a), magnitude(b))) {
+      out_.set(k.name, jn::Value(quantity_text(magnitude(a), u)));
+    }
+  }
+
+  template <class E, std::size_t N>
+  void choice(Key k, const Enum<E, N>& e, E a, E b) {
+    if (differs(k, a, b)) out_.set(k.name, jn::Value(e.name_of(a)));
+  }
+
+  void ints(Key k, const std::vector<int>& a, const std::vector<int>& b) {
+    if (!differs(k, a, b)) return;
+    jn::Value arr = jn::Value::array();
+    for (int n : a) arr.push_back(jn::Value(n));
+    out_.set(k.name, std::move(arr));
+  }
+
+  void axis(Key k, const std::vector<double>& a,
+            const std::vector<double>& b) {
+    if (a.empty() || !differs(k, a, b)) return;
+    jn::Value arr = jn::Value::array();
+    for (double v : a) arr.push_back(jn::Value(v));
+    out_.set(k.name, std::move(arr));
+  }
+
+  void freqs(Key k, const std::vector<q::Hertz>& a,
+             const std::vector<q::Hertz>& b) {
+    if (!differs(k, a, b)) return;
+    jn::Value arr = jn::Value::array();
+    for (q::Hertz f : a) arr.push_back(quantity_text(f.value(), kFrequency));
+    out_.set(k.name, std::move(arr));
+  }
+
+  template <class T>
+  void obj(Key k, const T& a, const T& b) {
+    jn::Value child = write(a, b, full_);
+    if (!child.members().empty()) out_.set(k.name, std::move(child));
+  }
+
+  /// Each element is diffed against a default-constructed one, so only
+  /// its required and non-default keys are written.
+  template <class T>
+  void objs(Key k, const char* /*noun*/, const std::vector<T>& a,
+            const std::vector<T>& /*base*/) {
+    if (a.empty()) return;
+    jn::Value arr = jn::Value::array();
+    for (const T& e : a) arr.push_back(write(e, T{}, full_));
+    out_.set(k.name, std::move(arr));
+  }
+
+ private:
+  template <class T>
+  bool differs(Key k, const T& a, const T& b) const {
+    return full_ || k.required || !(a == b);
+  }
+
+  bool full_;
+  jn::Value out_ = jn::Value::object();
+};
+
+// --- field lists ----------------------------------------------------------
+//
+// One per spec struct, one line per key. `visit(reader, x)` loads x;
+// `visit(writer, value, base)` saves it. Adding a line here adds the key
+// to scenario load, canonical save, the machine embedded in a
+// characterization and `hepex workload show`.
+
+template <class S, class T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
+
+template <class V, Of<hw::Isa>... S>
+void visit(V& v, S&... s) {
+  v.choice("family", kIsaFamily, s.family...);
+  v.str("name", s.name...);
+  v.num("work_cpi", s.work_cpi...);
+  v.num("pipeline_stall_per_work_cycle", s.pipeline_stall_per_work_cycle...);
+  v.num("memory_overlap", s.memory_overlap...);
+  v.num("memory_level_parallelism", s.memory_level_parallelism...);
+  v.num("message_software_cycles", s.message_software_cycles...);
 }
 
-jn::Value faults_json(const fault::Plan& plan) {
-  const fault::Plan defaults;
-  jn::Value obj = jn::Value::object();
-  if (plan.seed != defaults.seed) {
-    obj.set("seed", jn::Value(static_cast<double>(plan.seed)));
-  }
-  if (plan.random_failures.node_mtbf_s != 0.0) {
-    obj.set("node_mtbf", dur_str(plan.random_failures.node_mtbf_s));
-  }
-  if (!plan.crashes.empty()) {
-    jn::Value arr = jn::Value::array();
-    for (const auto& c : plan.crashes) {
-      jn::Value e = jn::Value::object();
-      e.set("node", jn::Value(c.node));
-      e.set("at", dur_str(c.at_s));
-      arr.push_back(std::move(e));
-    }
-    obj.set("crashes", std::move(arr));
-  }
-  if (!plan.stragglers.empty()) {
-    jn::Value arr = jn::Value::array();
-    for (const auto& s : plan.stragglers) {
-      jn::Value e = jn::Value::object();
-      e.set("node", jn::Value(s.node));
-      e.set("start", dur_str(s.start_s));
-      e.set("duration", dur_str(s.duration_s));
-      e.set("slowdown", jn::Value(s.slowdown));
-      arr.push_back(std::move(e));
-    }
-    obj.set("stragglers", std::move(arr));
-  }
-  if (!plan.throttles.empty()) {
-    jn::Value arr = jn::Value::array();
-    for (const auto& t : plan.throttles) {
-      jn::Value e = jn::Value::object();
-      e.set("node", jn::Value(t.node));
-      e.set("start", dur_str(t.start_s));
-      e.set("duration", dur_str(t.duration_s));
-      e.set("f_cap", freq_str(q::Hertz{t.f_cap_hz}));
-      arr.push_back(std::move(e));
-    }
-    obj.set("throttles", std::move(arr));
-  }
-  if (!plan.net_degradations.empty()) {
-    jn::Value arr = jn::Value::array();
-    for (const auto& d : plan.net_degradations) {
-      jn::Value e = jn::Value::object();
-      e.set("start", dur_str(d.start_s));
-      e.set("duration", dur_str(d.duration_s));
-      if (d.latency_mult != 1.0) e.set("latency_mult", d.latency_mult);
-      if (d.bandwidth_mult != 1.0) e.set("bandwidth_mult", d.bandwidth_mult);
-      if (d.drop_prob != 0.0) e.set("drop_prob", d.drop_prob);
-      arr.push_back(std::move(e));
-    }
-    obj.set("network_degradations", std::move(arr));
-  }
-  if (!plan.jitter_storms.empty()) {
-    jn::Value arr = jn::Value::array();
-    for (const auto& j : plan.jitter_storms) {
-      jn::Value e = jn::Value::object();
-      e.set("start", dur_str(j.start_s));
-      e.set("duration", dur_str(j.duration_s));
-      e.set("jitter_cv", jn::Value(j.jitter_cv));
-      arr.push_back(std::move(e));
-    }
-    obj.set("jitter_storms", std::move(arr));
-  }
-  {
-    const fault::RecoverySpec& r = plan.recovery;
-    const fault::RecoverySpec rd;
-    jn::Value rec = jn::Value::object();
-    if (r.mode != rd.mode) {
-      rec.set("mode", r.mode == fault::RecoveryMode::kAbort ? "abort"
-                                                            : "restart");
-    }
-    if (r.barrier_timeout_s != rd.barrier_timeout_s) {
-      rec.set("barrier_timeout", dur_str(r.barrier_timeout_s));
-    }
-    if (r.checkpoint_interval_s != rd.checkpoint_interval_s) {
-      rec.set("checkpoint_interval", dur_str(r.checkpoint_interval_s));
-    }
-    if (r.checkpoint_write_s != rd.checkpoint_write_s) {
-      rec.set("checkpoint_write", dur_str(r.checkpoint_write_s));
-    }
-    if (r.restart_s != rd.restart_s) {
-      rec.set("restart_cost", dur_str(r.restart_s));
-    }
-    if (r.spare_nodes != rd.spare_nodes) {
-      rec.set("spare_nodes", jn::Value(r.spare_nodes));
-    }
-    set_if_nonempty(obj, "recovery", std::move(rec));
-  }
-  if (plan.retransmit_timeout_s != defaults.retransmit_timeout_s) {
-    obj.set("retransmit_timeout", dur_str(plan.retransmit_timeout_s));
-  }
-  if (plan.max_retransmits != defaults.max_retransmits) {
-    obj.set("max_retransmits", jn::Value(plan.max_retransmits));
-  }
-  return obj;
+template <class V, Of<hw::DvfsRange>... S>
+void visit(V& v, S&... s) {
+  v.freqs("frequencies", s.frequencies_hz...);
+  v.num("v_min", s.v_min...);
+  v.num("v_max", s.v_max...);
+}
+
+template <class V, Of<hw::CacheSpec>... S>
+void visit(V& v, S&... s) {
+  v.unit("l1_per_core", kSize, s.l1_per_core_bytes...);
+  v.unit("l2_shared", kSize, s.l2_shared_bytes...);
+  v.unit("l3_shared", kSize, s.l3_shared_bytes...);
+  v.num("cold_miss_fraction", s.cold_miss_fraction...);
+  v.num("knee", s.knee...);
+}
+
+template <class V, Of<hw::MemorySpec>... S>
+void visit(V& v, S&... s) {
+  v.unit("bandwidth", kByteRate, s.bandwidth_bytes_per_s...);
+  v.unit("latency", kDuration, s.latency_s...);
+  v.unit("capacity", kSize, s.capacity_bytes...);
+  v.unit("line", kSize, s.line_bytes...);
+}
+
+template <class V, Of<hw::PowerSpec>... S>
+void visit(V& v, S&... s) {
+  v.num("core_active_coeff", s.core.active_coeff...);
+  v.num("core_stall_fraction", s.core.stall_fraction...);
+  v.unit("mem_active", kPower, s.mem_active_w...);
+  v.unit("net_active", kPower, s.net_active_w...);
+  v.unit("sys_idle", kPower, s.sys_idle_w...);
+  v.unit("meter_offset_sigma", kPower, s.meter_offset_sigma_w...);
+}
+
+template <class V, Of<hw::NodeSpec>... S>
+void visit(V& v, S&... s) {
+  v.integer("cores", s.cores...);
+  v.obj("isa", s.isa...);
+  v.obj("dvfs", s.dvfs...);
+  v.obj("cache", s.cache...);
+  v.obj("memory", s.memory...);
+  v.obj("power", s.power...);
+}
+
+template <class V, Of<hw::NetworkSpec>... S>
+void visit(V& v, S&... s) {
+  v.unit("bandwidth", kBandwidth, s.link_bits_per_s...);
+  v.unit("switch_latency", kDuration, s.switch_latency_s...);
+  v.unit("header_bytes_per_frame", kSize, s.header_bytes_per_frame...);
+  v.unit("payload_bytes_per_frame", kSize, s.payload_bytes_per_frame...);
+}
+
+/// The platform's machine keys ("preset" is the caller's).
+template <class V, Of<hw::MachineSpec>... S>
+void visit(V& v, S&... s) {
+  v.str("name", s.name...);
+  v.integer("nodes_available", s.nodes_available...);
+  v.ints("model_node_counts", s.model_node_counts...);
+  v.obj("node", s.node...);
+  v.obj("network", s.network...);
+}
+
+template <class V, Of<workload::ComputeSpec>... S>
+void visit(V& v, S&... s) {
+  v.num("instructions_per_iter", s.instructions_per_iter...);
+  v.num("cpi_factor", s.cpi_factor...);
+  v.num("stall_factor", s.stall_factor...);
+  v.num("bytes_per_instruction", s.bytes_per_instruction...);
+  v.num("reuse_bytes_per_instruction", s.reuse_bytes_per_instruction...);
+  v.unit("reuse_window", kSize, s.reuse_window_bytes...);
+  v.unit("working_set", kSize, s.working_set_bytes...);
+  v.num("serial_fraction", s.serial_fraction...);
+  v.num("imbalance", s.imbalance...);
+  v.num("node_imbalance", s.node_imbalance...);
+}
+
+template <class V, Of<workload::CommSpec>... S>
+void visit(V& v, S&... s) {
+  v.choice("pattern", kCommPattern, s.pattern...);
+  v.unit("base_bytes", kSize, s.base_bytes...);
+  v.integer("rounds", s.rounds...);
+  v.num("size_cv", s.size_cv...);
+}
+
+template <class V, Of<workload::SyncSpec>... S>
+void visit(V& v, S&... s) {
+  v.num("base_cycles", s.base_cycles...);
+  v.num("cycles_per_total_core", s.cycles_per_total_core...);
+}
+
+/// The workload's program keys ("program", "class" and "grid" are the
+/// caller's).
+template <class V, Of<workload::ProgramSpec>... S>
+void visit(V& v, S&... s) {
+  v.str("name", s.name...);
+  v.str("suite", s.suite...);
+  v.str("language", s.language...);
+  v.str("domain", s.domain...);
+  v.integer("iterations", s.iterations...);
+  v.obj("compute", s.compute...);
+  v.obj("comm", s.comm...);
+  v.obj("sync", s.sync...);
+}
+
+template <class V, Of<workload::SyntheticGrid>... S>
+void visit(V& v, S&... s) {
+  v.axis("ai", s.arithmetic_intensity...);
+  v.axis("bpi", s.bytes_per_instruction...);
+  v.axis("mi", s.message_intensity...);
+  v.axis("imb", s.imbalance...);
+  v.axis("sf", s.serial_fraction...);
+  v.seed("seed", s.seed...);
+}
+
+template <class V, Of<fault::NodeCrash>... S>
+void visit(V& v, S&... s) {
+  v.integer(required("node"), s.node...);
+  v.unit(required("at"), kDuration, s.at_s...);
+}
+
+template <class V, Of<fault::Straggler>... S>
+void visit(V& v, S&... s) {
+  v.integer(required("node"), s.node...);
+  v.unit(required("start"), kDuration, s.start_s...);
+  v.unit(required("duration"), kDuration, s.duration_s...);
+  v.num(required("slowdown"), s.slowdown...);
+}
+
+template <class V, Of<fault::Throttle>... S>
+void visit(V& v, S&... s) {
+  v.integer(required("node"), s.node...);
+  v.unit(required("start"), kDuration, s.start_s...);
+  v.unit(required("duration"), kDuration, s.duration_s...);
+  v.unit(required("f_cap"), kFrequency, s.f_cap_hz...);
+}
+
+template <class V, Of<fault::NetworkDegradation>... S>
+void visit(V& v, S&... s) {
+  v.unit(required("start"), kDuration, s.start_s...);
+  v.unit(required("duration"), kDuration, s.duration_s...);
+  v.num("latency_mult", s.latency_mult...);
+  v.num("bandwidth_mult", s.bandwidth_mult...);
+  v.num("drop_prob", s.drop_prob...);
+}
+
+template <class V, Of<fault::JitterStorm>... S>
+void visit(V& v, S&... s) {
+  v.unit(required("start"), kDuration, s.start_s...);
+  v.unit(required("duration"), kDuration, s.duration_s...);
+  v.num(required("jitter_cv"), s.jitter_cv...);
+}
+
+template <class V, Of<fault::RecoverySpec>... S>
+void visit(V& v, S&... s) {
+  v.choice("mode", kRecoveryMode, s.mode...);
+  v.unit("barrier_timeout", kDuration, s.barrier_timeout_s...);
+  v.unit("checkpoint_interval", kDuration, s.checkpoint_interval_s...);
+  v.unit("checkpoint_write", kDuration, s.checkpoint_write_s...);
+  v.unit("restart_cost", kDuration, s.restart_s...);
+  v.integer("spare_nodes", s.spare_nodes...);
+}
+
+template <class V, Of<fault::Plan>... S>
+void visit(V& v, S&... s) {
+  v.seed("seed", s.seed...);
+  v.unit("node_mtbf", kDuration, s.random_failures.node_mtbf_s...);
+  v.objs("crashes", "crashes", s.crashes...);
+  v.objs("stragglers", "stragglers", s.stragglers...);
+  v.objs("throttles", "throttles", s.throttles...);
+  v.objs("network_degradations", "degradation windows",
+         s.net_degradations...);
+  v.objs("jitter_storms", "jitter storms", s.jitter_storms...);
+  v.obj("recovery", s.recovery...);
+  v.unit("retransmit_timeout", kDuration, s.retransmit_timeout_s...);
+  v.integer("max_retransmits", s.max_retransmits...);
+}
+
+template <class V, Of<SweepSpec>... S>
+void visit(V& v, S&... s) {
+  v.ints("nodes", s.nodes...);
+  v.ints("cores", s.cores...);
+  v.freqs("frequencies", s.frequencies...);
+}
+
+template <class V, Of<hw::ClusterConfig>... S>
+void visit(V& v, S&... s) {
+  v.integer("n", s.nodes...);
+  v.integer("c", s.cores...);
+  v.unit("f", kFrequency, s.f_hz...);
+}
+
+template <class V, Of<SimSettings>... S>
+void visit(V& v, S&... s) {
+  v.integer("chunks_per_iteration", s.chunks_per_iteration...);
+  v.num("jitter_cv", s.jitter_cv...);
+  v.seed("seed", s.seed...);
+  v.integer("replicas", s.replicas...);
+}
+
+template <class V, Of<ObsSettings>... S>
+void visit(V& v, S&... s) {
+  v.str("log_level", s.log_level...);
+  v.str("trace", s.trace_path...);
+  v.str("metrics", s.metrics_path...);
+  v.str("report", s.report_path...);
+  v.boolean("profile", s.profile...);
 }
 
 // --- known log levels (mirrors obs::log_level_from_string; cfg sits
@@ -1142,6 +719,13 @@ jn::Value faults_json(const fault::Plan& plan) {
 bool known_log_level(const std::string& s) {
   return s.empty() || s == "off" || s == "error" || s == "warn" ||
          s == "info" || s == "debug" || s == "trace";
+}
+
+[[noreturn]] void fail_log_level(const std::string& source,
+                                 const std::string& level) {
+  fail_at(source, "obs.log_level",
+          "unknown log level '" + level +
+              "' (use off, error, warn, info, debug or trace)");
 }
 
 }  // namespace
@@ -1197,10 +781,7 @@ void Scenario::validate() const {
     try {
       (void)workload_grid->expand();
     } catch (const std::invalid_argument& e) {
-      std::string msg = e.what();
-      const std::string prefix = "hepex: ";
-      if (msg.rfind(prefix, 0) == 0) msg = msg.substr(prefix.size());
-      fail_at("scenario", "workload.grid", msg);
+      rethrow_at(e, "scenario", "workload.grid");
     }
   }
   for (int n : sweep.nodes) {
@@ -1240,11 +821,7 @@ void Scenario::validate() const {
   if (jobs < 0 || jobs > 512) {
     fail_at("scenario", "jobs", "must be in [0, 512] (0 = all cores)");
   }
-  if (!known_log_level(obs.log_level)) {
-    fail_at("scenario", "obs.log_level",
-            "unknown log level '" + obs.log_level +
-                "' (use off, error, warn, info, debug or trace)");
-  }
+  if (!known_log_level(obs.log_level)) fail_log_level("scenario", obs.log_level);
 }
 
 Scenario default_scenario() {
@@ -1261,7 +838,7 @@ Scenario default_scenario() {
 
 Scenario load_scenario(const std::string& text, const std::string& source) {
   const jn::Value doc = jn::parse(text, source);
-  ObjReader top(doc, "", source);
+  Reader top(doc, "", source);
 
   {
     const jn::Value& schema = top.require("schema");
@@ -1274,23 +851,18 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
   }
 
   Scenario s;
-  if (const auto* v = top.get("name")) {
-    s.name = read_string(*v, "name", source);
-  }
+  top.str("name", s.name);
 
   // Platform: preset reference (default xeon) with field overrides.
   s.platform_preset = "xeon";
   if (const auto* v = top.get("platform")) {
-    ObjReader po(*v, "platform", source);
+    Reader po(*v, "platform", source);
     if (const auto* p = po.get("preset")) {
       const std::string key = read_string(*p, "platform.preset", source);
       try {
         s.machine = hw::machine_by_name(key);
       } catch (const std::invalid_argument& e) {
-        std::string msg = e.what();
-        const std::string prefix = "hepex: ";
-        if (msg.rfind(prefix, 0) == 0) msg = msg.substr(prefix.size());
-        fail_at(source, "platform.preset", msg);
+        rethrow_at(e, source, "platform.preset");
       }
       s.platform_preset = key;
     } else {
@@ -1301,7 +873,7 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
       s.machine.model_node_counts.clear();
       s.machine.node.dvfs.frequencies_hz.clear();
     }
-    apply_machine(po, s.machine);
+    visit(po, s.machine);
     po.reject_unknown();
   } else {
     s.machine = hw::machine_by_name(s.platform_preset);
@@ -1312,7 +884,7 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
   s.program_name = "SP";
   s.input = workload::InputClass::kA;
   if (const auto* v = top.get("workload")) {
-    ObjReader wo(*v, "workload", source);
+    Reader wo(*v, "workload", source);
     const jn::Value* prog = wo.get("program");
     const jn::Value* grid = wo.get("grid");
     if (prog != nullptr && grid != nullptr) {
@@ -1333,125 +905,58 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
       }
     }
     if (grid != nullptr) {
-      s.workload_grid = read_synthetic_grid(*grid, "workload.grid", source);
+      workload::SyntheticGrid& g = s.workload_grid.emplace();
+      Reader::read(*grid, "workload.grid", source, g);
       s.program_name.clear();
-      // The resolved program is the first grid point; consumers that fan
-      // the whole grid go through workload_programs(). Field overrides
-      // make no sense against generated programs; reject_unknown below
+      // Expand immediately: the point cap and per-point range checks fire
+      // at load time with the grid's field path, not at first use. The
+      // resolved program is the first grid point; consumers that fan the
+      // whole grid go through workload_programs(). Field overrides make
+      // no sense against generated programs; reject_unknown below
       // rejects them.
-      s.program =
-          workload::make_synthetic(s.workload_grid->expand().front(), s.input);
+      std::vector<workload::SyntheticSpec> points;
+      try {
+        points = g.expand();
+      } catch (const std::invalid_argument& e) {
+        rethrow_at(e, source, "workload.grid");
+      }
+      s.program = workload::make_synthetic(points.front(), s.input);
     } else {
       try {
         s.program = workload::program_by_name(s.program_name, s.input);
       } catch (const std::invalid_argument& e) {
-        std::string msg = e.what();
-        const std::string prefix = "hepex: ";
-        if (msg.rfind(prefix, 0) == 0) msg = msg.substr(prefix.size());
-        fail_at(source, "workload.program", msg);
+        rethrow_at(e, source, "workload.program");
       }
-      apply_program(wo, s.program);
+      visit(wo, s.program);
     }
     wo.reject_unknown();
   } else {
     s.program = workload::program_by_name(s.program_name, s.input);
   }
 
-  if (const auto* v = top.get("sweep")) {
-    ObjReader so(*v, "sweep", source);
-    if (const auto* n = so.get("nodes")) {
-      s.sweep.nodes = read_int_array(*n, "sweep.nodes", source);
-    }
-    if (const auto* c = so.get("cores")) {
-      s.sweep.cores = read_int_array(*c, "sweep.cores", source);
-    }
-    if (const auto* f = so.get("frequencies")) {
-      const std::string path = "sweep.frequencies";
-      if (!f->is_array()) {
-        fail_at(source, path,
-                "expected an array of frequencies, got " + repr(*f));
-      }
-      std::size_t i = 0;
-      for (const auto& e : f->as_array()) {
-        s.sweep.frequencies.push_back(
-            read_frequency(e, path + "[" + std::to_string(i) + "]", source));
-        ++i;
-      }
-    }
-    so.reject_unknown();
-  }
+  top.obj("sweep", s.sweep);
 
   if (const auto* v = top.get("config")) {
-    ObjReader co(*v, "config", source);
-    hw::ClusterConfig cc;
+    // Keys left out default to one full node at f_max.
+    hw::ClusterConfig& cc = s.config.emplace();
     cc.nodes = 1;
     cc.cores = s.machine.node.cores;
     cc.f_hz = s.machine.node.dvfs.frequencies_hz.empty()
                   ? q::Hertz{0.0}
                   : s.machine.node.dvfs.f_max();
-    if (const auto* n = co.get("n")) {
-      cc.nodes = read_int(*n, "config.n", source);
-    }
-    if (const auto* c = co.get("c")) {
-      cc.cores = read_int(*c, "config.c", source);
-    }
-    if (const auto* f = co.get("f")) {
-      cc.f_hz = read_frequency(*f, "config.f", source);
-    }
-    co.reject_unknown();
-    s.config = cc;
+    Reader::read(*v, "config", source, cc);
   }
 
   if (const auto* v = top.get("faults")) {
-    s.faults = read_faults(*v, "faults", source);
+    Reader::read(*v, "faults", source, s.faults.emplace());
   }
 
-  if (const auto* v = top.get("sim")) {
-    ObjReader so(*v, "sim", source);
-    if (const auto* c = so.get("chunks_per_iteration")) {
-      s.sim.chunks_per_iteration =
-          read_int(*c, "sim.chunks_per_iteration", source);
-    }
-    if (const auto* j = so.get("jitter_cv")) {
-      s.sim.jitter_cv = read_number(*j, "sim.jitter_cv", source);
-    }
-    if (const auto* sd = so.get("seed")) {
-      s.sim.seed = read_seed(*sd, "sim.seed", source);
-    }
-    if (const auto* r = so.get("replicas")) {
-      s.sim.replicas = read_int(*r, "sim.replicas", source);
-    }
-    so.reject_unknown();
+  top.obj("sim", s.sim);
+  top.obj("obs", s.obs);
+  if (!known_log_level(s.obs.log_level)) {
+    fail_log_level(source, s.obs.log_level);
   }
-
-  if (const auto* v = top.get("obs")) {
-    ObjReader oo(*v, "obs", source);
-    if (const auto* l = oo.get("log_level")) {
-      s.obs.log_level = read_string(*l, "obs.log_level", source);
-      if (!known_log_level(s.obs.log_level)) {
-        fail_at(source, "obs.log_level",
-                "unknown log level '" + s.obs.log_level +
-                    "' (use off, error, warn, info, debug or trace)");
-      }
-    }
-    if (const auto* t = oo.get("trace")) {
-      s.obs.trace_path = read_string(*t, "obs.trace", source);
-    }
-    if (const auto* m = oo.get("metrics")) {
-      s.obs.metrics_path = read_string(*m, "obs.metrics", source);
-    }
-    if (const auto* r = oo.get("report")) {
-      s.obs.report_path = read_string(*r, "obs.report", source);
-    }
-    if (const auto* p = oo.get("profile")) {
-      s.obs.profile = read_bool(*p, "obs.profile", source);
-    }
-    oo.reject_unknown();
-  }
-
-  if (const auto* v = top.get("jobs")) {
-    s.jobs = read_int(*v, "jobs", source);
-  }
+  top.integer("jobs", s.jobs);
 
   top.reject_unknown();
   s.validate();
@@ -1471,113 +976,51 @@ Scenario load_scenario_file(const std::string& path) {
 // --- save -----------------------------------------------------------------
 
 std::string save_scenario(const Scenario& s) {
-  jn::Value doc = jn::Value::object();
-  doc.set("schema", jn::Value(kScenarioSchema));
-  if (!s.name.empty()) doc.set("name", jn::Value(s.name));
+  Writer top(/*full=*/false);
+  top.set("schema", jn::Value(kScenarioSchema));
+  top.str("name", s.name, "");
 
   {
-    jn::Value platform = jn::Value::object();
-    std::optional<hw::MachineSpec> base;
+    // A preset platform is written as the preset plus the keys that
+    // differ from it; an inline one in full.
+    std::optional<hw::MachineSpec> preset;
     if (!s.platform_preset.empty()) {
-      platform.set("preset", jn::Value(s.platform_preset));
-      base = hw::machine_by_name(s.platform_preset);
+      preset = hw::machine_by_name(s.platform_preset);
     }
-    jn::Value overrides = machine_json(s.machine, base ? &*base : nullptr);
-    for (auto& [key, value] : overrides.members()) {
-      platform.set(key, std::move(value));
-    }
-    doc.set("platform", std::move(platform));
+    Writer w(/*full=*/!preset);
+    if (preset) w.set("preset", jn::Value(s.platform_preset));
+    visit(w, s.machine, preset ? *preset : s.machine);
+    top.set("platform", w.take());
   }
 
   {
-    jn::Value wl = jn::Value::object();
+    Writer w(/*full=*/false);
     if (s.workload_grid) {
-      wl.set("class", jn::Value(workload::to_string(s.input)));
-      wl.set("grid", synthetic_grid_json(*s.workload_grid));
+      w.set("class", jn::Value(workload::to_string(s.input)));
+      w.set("grid", Writer::write(*s.workload_grid, workload::SyntheticGrid{},
+                                  /*full=*/false));
     } else {
-      wl.set("program", jn::Value(s.program_name));
-      wl.set("class", jn::Value(workload::to_string(s.input)));
+      w.set("program", jn::Value(s.program_name));
+      w.set("class", jn::Value(workload::to_string(s.input)));
       const workload::ProgramSpec base =
           workload::program_by_name(s.program_name, s.input);
-      jn::Value overrides = program_json(s.program, &base);
-      for (auto& [key, value] : overrides.members()) {
-        wl.set(key, std::move(value));
-      }
+      visit(w, s.program, base);
     }
-    doc.set("workload", std::move(wl));
+    top.set("workload", w.take());
   }
 
-  if (!s.sweep.empty()) {
-    jn::Value sw = jn::Value::object();
-    if (!s.sweep.nodes.empty()) {
-      jn::Value arr = jn::Value::array();
-      for (int n : s.sweep.nodes) arr.push_back(jn::Value(n));
-      sw.set("nodes", std::move(arr));
-    }
-    if (!s.sweep.cores.empty()) {
-      jn::Value arr = jn::Value::array();
-      for (int c : s.sweep.cores) arr.push_back(jn::Value(c));
-      sw.set("cores", std::move(arr));
-    }
-    if (!s.sweep.frequencies.empty()) {
-      jn::Value arr = jn::Value::array();
-      for (q::Hertz f : s.sweep.frequencies) arr.push_back(freq_str(f));
-      sw.set("frequencies", std::move(arr));
-    }
-    doc.set("sweep", std::move(sw));
-  }
-
+  top.obj("sweep", s.sweep, SweepSpec{});
   if (s.config) {
-    jn::Value cc = jn::Value::object();
-    cc.set("n", jn::Value(s.config->nodes));
-    cc.set("c", jn::Value(s.config->cores));
-    cc.set("f", freq_str(s.config->f_hz));
-    doc.set("config", std::move(cc));
+    top.set("config", Writer::write(*s.config, *s.config, /*full=*/true));
   }
-
   if (s.faults) {
-    doc.set("faults", faults_json(*s.faults));
+    top.set("faults", Writer::write(*s.faults, fault::Plan{}, /*full=*/false));
   }
+  top.obj("sim", s.sim, SimSettings{});
+  top.obj("obs", s.obs, ObsSettings{});
+  top.integer("jobs", s.jobs, 0);
 
-  {
-    const SimSettings d;
-    jn::Value sim = jn::Value::object();
-    if (s.sim.chunks_per_iteration != d.chunks_per_iteration) {
-      sim.set("chunks_per_iteration", jn::Value(s.sim.chunks_per_iteration));
-    }
-    if (s.sim.jitter_cv != d.jitter_cv) {
-      sim.set("jitter_cv", jn::Value(s.sim.jitter_cv));
-    }
-    if (s.sim.seed != d.seed) {
-      sim.set("seed", jn::Value(static_cast<double>(s.sim.seed)));
-    }
-    if (s.sim.replicas != d.replicas) {
-      sim.set("replicas", jn::Value(s.sim.replicas));
-    }
-    set_if_nonempty(doc, "sim", std::move(sim));
-  }
-
-  {
-    jn::Value obs = jn::Value::object();
-    if (!s.obs.log_level.empty()) {
-      obs.set("log_level", jn::Value(s.obs.log_level));
-    }
-    if (!s.obs.trace_path.empty()) {
-      obs.set("trace", jn::Value(s.obs.trace_path));
-    }
-    if (!s.obs.metrics_path.empty()) {
-      obs.set("metrics", jn::Value(s.obs.metrics_path));
-    }
-    if (!s.obs.report_path.empty()) {
-      obs.set("report", jn::Value(s.obs.report_path));
-    }
-    if (s.obs.profile) obs.set("profile", jn::Value(true));
-    set_if_nonempty(doc, "obs", std::move(obs));
-  }
-
-  if (s.jobs != 0) doc.set("jobs", jn::Value(s.jobs));
-
-  return jn::dump(doc);
+  return jn::dump(top.take());
 }
 
 void save_scenario_file(const Scenario& s, const std::string& path) {
@@ -1591,23 +1034,21 @@ void save_scenario_file(const Scenario& s, const std::string& path) {
   }
 }
 
-// --- machine JSON for external formats ------------------------------------
+// --- machine/program JSON for external formats ---------------------------
 
 util::json::Value machine_to_json(const hw::MachineSpec& m) {
-  return machine_json(m, nullptr);
+  return Writer::write(m, m, /*full=*/true);
 }
 
 util::json::Value program_to_json(const workload::ProgramSpec& p) {
-  return program_json(p, nullptr);
+  return Writer::write(p, p, /*full=*/true);
 }
 
 hw::MachineSpec machine_from_json(const util::json::Value& v,
                                   hw::MachineSpec base,
                                   const std::string& path,
                                   const std::string& source) {
-  ObjReader o(v, path, source);
-  apply_machine(o, base);
-  o.reject_unknown();
+  Reader::read(v, path, source, base);
   return base;
 }
 
