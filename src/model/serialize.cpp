@@ -2,12 +2,11 @@
 
 #include <cmath>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "cfg/scenario.hpp"
-#include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/schemas.hpp"
 
@@ -16,33 +15,8 @@ namespace {
 
 namespace jn = util::json;
 
-/// Current (JSON) schema tag and the legacy v1 text header.
-constexpr const char* kSchemaV2 = util::schemas::kCharacterizationV2;
-constexpr const char* kHeaderV1 = "hepex-characterization v1";
+constexpr const char* kSchema = util::schemas::kCharacterizationV2;
 constexpr const char* kSource = "characterization";
-
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return {};
-  const auto e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
-
-std::vector<double> parse_doubles(const std::string& s) {
-  std::vector<double> out;
-  std::istringstream is(s);
-  double v;
-  while (is >> v) out.push_back(v);
-  return out;
-}
-
-hw::IsaFamily isa_family_from(const std::string& s) {
-  if (s == "x86_64") return hw::IsaFamily::kX86_64;
-  if (s == "armv7a") return hw::IsaFamily::kArmV7A;
-  hepex::fail_require("unknown ISA family '" + s + "'");
-}
-
-// --- v2 (JSON) readers ----------------------------------------------------
 
 [[noreturn]] void fail_at(const std::string& path, const std::string& why) {
   // hepex-lint: allow(bare-throw) parser fail-helper IS the input-validation layer; prefixes artifact path context fail_require cannot
@@ -50,62 +24,68 @@ hw::IsaFamily isa_family_from(const std::string& s) {
                               why);
 }
 
+/// Field path of `key` inside `path` ("" is the document).
+std::string join(const std::string& path, const std::string& key) {
+  return path.empty() ? key : path + "." + key;
+}
+
 const jn::Value& require(const jn::Value& obj, const std::string& path,
                          const std::string& key) {
   const jn::Value* v = obj.find(key);
-  if (v == nullptr) {
-    fail_at(path.empty() ? key : path + "." + key, "missing required key");
-  }
+  if (v == nullptr) fail_at(join(path, key), "missing required key");
   return *v;
 }
 
-double get_number(const jn::Value& obj, const std::string& path,
-                  const std::string& key) {
+/// `key` of `obj`, which must be of the kind `is` tests for (`what`).
+const jn::Value& get_kind(const jn::Value& obj, const std::string& path,
+                          const std::string& key,
+                          bool (jn::Value::*is)() const, const char* what) {
   const jn::Value& v = require(obj, path, key);
-  if (!v.is_number()) {
-    fail_at(path + "." + key,
-            "expected a number, got " + jn::dump_compact(v));
-  }
-  return v.as_number();
-}
-
-int get_int(const jn::Value& obj, const std::string& path,
-            const std::string& key) {
-  const double d = get_number(obj, path, key);
-  if (std::floor(d) != d) {
-    fail_at(path + "." + key, "expected an integer");
-  }
-  return static_cast<int>(d);
-}
-
-std::string get_string(const jn::Value& obj, const std::string& path,
-                       const std::string& key) {
-  const jn::Value& v = require(obj, path, key);
-  if (!v.is_string()) {
-    fail_at(path + "." + key,
-            "expected a string, got " + jn::dump_compact(v));
-  }
-  return v.as_string();
-}
-
-const jn::Value& get_object(const jn::Value& obj, const std::string& path,
-                            const std::string& key) {
-  const jn::Value& v = require(obj, path, key);
-  if (!v.is_object()) {
-    fail_at(path.empty() ? key : path + "." + key,
-            "expected an object, got " + jn::dump_compact(v));
+  if (!(v.*is)()) {
+    fail_at(join(path, key),
+            std::string("expected ") + what + ", got " + jn::dump_compact(v));
   }
   return v;
 }
 
+double get_number(const jn::Value& obj, const std::string& path,
+                  const std::string& key) {
+  return get_kind(obj, path, key, &jn::Value::is_number, "a number")
+      .as_number();
+}
+
+/// A number that must be an int: casting a double outside int's range is
+/// undefined behaviour, so the range is checked first.
+int to_int(const jn::Value& v, const std::string& path) {
+  const double d = v.as_number();
+  if (std::floor(d) != d || d < std::numeric_limits<int>::min() ||
+      d > std::numeric_limits<int>::max()) {
+    fail_at(path, "expected an integer, got " + jn::dump_compact(v));
+  }
+  return static_cast<int>(d);
+}
+
+int get_int(const jn::Value& obj, const std::string& path,
+            const std::string& key) {
+  return to_int(get_kind(obj, path, key, &jn::Value::is_number, "a number"),
+                join(path, key));
+}
+
+std::string get_string(const jn::Value& obj, const std::string& path,
+                       const std::string& key) {
+  return get_kind(obj, path, key, &jn::Value::is_string, "a string")
+      .as_string();
+}
+
+const jn::Value& get_object(const jn::Value& obj, const std::string& path,
+                            const std::string& key) {
+  return get_kind(obj, path, key, &jn::Value::is_object, "an object");
+}
+
 const jn::Array& get_array(const jn::Value& obj, const std::string& path,
                            const std::string& key) {
-  const jn::Value& v = require(obj, path, key);
-  if (!v.is_array()) {
-    fail_at(path.empty() ? key : path + "." + key,
-            "expected an array, got " + jn::dump_compact(v));
-  }
-  return v.as_array();
+  return get_kind(obj, path, key, &jn::Value::is_array, "an array")
+      .as_array();
 }
 
 std::vector<q::Watts> get_watt_array(const jn::Value& obj,
@@ -114,20 +94,20 @@ std::vector<q::Watts> get_watt_array(const jn::Value& obj,
   std::vector<q::Watts> out;
   for (const jn::Value& e : get_array(obj, path, key)) {
     if (!e.is_number()) {
-      fail_at(path + "." + key, "expected an array of numbers");
+      fail_at(join(path, key), "expected an array of numbers");
     }
     out.push_back(q::Watts{e.as_number()});
   }
   return out;
 }
 
-Characterization load_v2(const std::string& text) {
+Characterization parse(const std::string& text) {
   const jn::Value doc = jn::parse(text, kSource);
   if (!doc.is_object()) fail_at("(document)", "expected an object");
   {
     const std::string schema = get_string(doc, "", "schema");
-    if (schema != kSchemaV2) {
-      fail_at("schema", std::string("expected \"") + kSchemaV2 +
+    if (schema != kSchema) {
+      fail_at("schema", std::string("expected \"") + kSchema +
                             "\", got \"" + schema + "\"");
     }
   }
@@ -194,14 +174,14 @@ Characterization load_v2(const std::string& text) {
     if (!row.is_array() || row.as_array().size() != 7) {
       fail_at(path, "expected a row of 7 numbers");
     }
+    const jn::Array& cells = row.as_array();
     double raw[7];
     for (std::size_t k = 0; k < 7; ++k) {
-      const jn::Value& cell = row.as_array()[k];
-      if (!cell.is_number()) fail_at(path, "expected a row of 7 numbers");
-      raw[k] = cell.as_number();
+      if (!cells[k].is_number()) fail_at(path, "expected a row of 7 numbers");
+      raw[k] = cells[k].as_number();
     }
-    const int c = static_cast<int>(raw[0]);
-    const int fi = static_cast<int>(raw[1]);
+    const int c = to_int(cells[0], path + "[0]");
+    const int fi = to_int(cells[1], path + "[1]");
     if (c < 1 || c > ch.machine.node.cores || fi < 0 ||
         static_cast<std::size_t>(fi) >= n_freqs) {
       fail_at(path, "(c=" + std::to_string(c) + ", fi=" + std::to_string(fi) +
@@ -228,180 +208,11 @@ Characterization load_v2(const std::string& text) {
   return ch;
 }
 
-// --- v1 (legacy key=value text) loader ------------------------------------
-
-Characterization load_v1(std::istream& is) {
-  std::string line;
-  int lineno = 0;
-  auto fail = [&](const std::string& why) -> void {
-    fail_require("characterization parse error at line " +
-                 std::to_string(lineno) + ": " + why);
-  };
-
-  if (!std::getline(is, line) || trim(line) != kHeaderV1) {
-    lineno = 1;
-    fail("missing header '" + std::string(kHeaderV1) + "'");
-  }
-  lineno = 1;
-
-  std::map<std::string, std::string> kv;
-  bool in_table = false;
-  struct RawRow {
-    int c;
-    int fi;
-    BaselinePoint pt;
-  };
-  std::vector<RawRow> rows;
-
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::string t = trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    if (t == "baseline-table") {
-      in_table = true;
-      continue;
-    }
-    if (t == "end") break;
-    if (in_table) {
-      std::istringstream row(t);
-      RawRow r{};
-      if (!(row >> r.c >> r.fi >> r.pt.work_cycles >> r.pt.nonmem_stalls >>
-            r.pt.mem_stalls >> r.pt.utilization >> r.pt.instructions)) {
-        fail("malformed baseline row '" + t + "'");
-      }
-      rows.push_back(r);
-      continue;
-    }
-    const auto eq = t.find('=');
-    if (eq == std::string::npos) fail("expected 'key = value', got '" + t + "'");
-    kv[trim(t.substr(0, eq))] = trim(t.substr(eq + 1));
-  }
-
-  auto get = [&](const std::string& key) -> const std::string& {
-    const auto it = kv.find(key);
-    if (it == kv.end()) fail("missing key '" + key + "'");
-    return it->second;
-  };
-  auto getd = [&](const std::string& key) { return std::stod(get(key)); };
-  auto get_s = [&](const std::string& key) { return q::Seconds{getd(key)}; };
-  auto get_w = [&](const std::string& key) { return q::Watts{getd(key)}; };
-  auto get_b = [&](const std::string& key) { return q::Bytes{getd(key)}; };
-  auto geti = [&](const std::string& key) { return std::stoi(get(key)); };
-
-  Characterization ch;
-  auto& m = ch.machine;
-  m.name = get("machine.name");
-  m.nodes_available = geti("machine.nodes_available");
-  m.model_node_counts.clear();
-  for (double v : parse_doubles(get("machine.model_node_counts"))) {
-    m.model_node_counts.push_back(static_cast<int>(v));
-  }
-  m.node.cores = geti("node.cores");
-
-  m.node.isa.family = isa_family_from(get("isa.family"));
-  m.node.isa.name = get("isa.name");
-  m.node.isa.work_cpi = getd("isa.work_cpi");
-  m.node.isa.pipeline_stall_per_work_cycle =
-      getd("isa.pipeline_stall_per_work_cycle");
-  m.node.isa.memory_overlap = getd("isa.memory_overlap");
-  m.node.isa.memory_level_parallelism = getd("isa.memory_level_parallelism");
-  m.node.isa.message_software_cycles = getd("isa.message_software_cycles");
-
-  for (double v : parse_doubles(get("dvfs.frequencies_hz"))) {
-    m.node.dvfs.frequencies_hz.push_back(q::Hertz{v});
-  }
-  if (m.node.dvfs.frequencies_hz.empty()) fail("empty DVFS frequency list");
-  m.node.dvfs.v_min = getd("dvfs.v_min");
-  m.node.dvfs.v_max = getd("dvfs.v_max");
-
-  m.node.cache.l1_per_core_bytes = getd("cache.l1_per_core_bytes");
-  m.node.cache.l2_shared_bytes = getd("cache.l2_shared_bytes");
-  m.node.cache.l3_shared_bytes = getd("cache.l3_shared_bytes");
-  m.node.cache.cold_miss_fraction = getd("cache.cold_miss_fraction");
-  m.node.cache.knee = getd("cache.knee");
-
-  m.node.memory.bandwidth_bytes_per_s =
-      q::BytesPerSec{getd("memory.bandwidth_bytes_per_s")};
-  m.node.memory.latency_s = get_s("memory.latency_s");
-  m.node.memory.capacity_bytes = get_b("memory.capacity_bytes");
-  m.node.memory.line_bytes = get_b("memory.line_bytes");
-
-  m.network.link_bits_per_s =
-      q::BitsPerSec{getd("network.link_bits_per_s")};
-  m.network.switch_latency_s = get_s("network.switch_latency_s");
-  m.network.header_bytes_per_frame = get_b("network.header_bytes_per_frame");
-  m.network.payload_bytes_per_frame = get_b("network.payload_bytes_per_frame");
-
-  m.node.power.core.active_coeff = getd("power.core.active_coeff");
-  m.node.power.core.stall_fraction = getd("power.core.stall_fraction");
-  m.node.power.mem_active_w = get_w("power.mem_active_w");
-  m.node.power.net_active_w = get_w("power.net_active_w");
-  m.node.power.sys_idle_w = get_w("power.sys_idle_w");
-  m.node.power.meter_offset_sigma_w = get_w("power.meter_offset_sigma_w");
-
-  ch.program_name = get("program");
-  ch.baseline_class = workload::input_class_from_string(get("baseline.class"));
-  ch.baseline_iterations = geti("baseline.iterations");
-  ch.baseline_cells = getd("baseline.cells");
-
-  ch.comm.n_probe = geti("comm.n_probe");
-  ch.comm.eta = getd("comm.eta");
-  ch.comm.nu = get_b("comm.nu");
-  ch.comm.size_cv = getd("comm.size_cv");
-  {
-    const std::string p = get("comm.pattern");
-    try {
-      ch.pattern = workload::comm_pattern_from_string(p);
-    } catch (const std::invalid_argument&) {
-      fail("unknown comm pattern '" + p + "'");
-    }
-  }
-
-  ch.network.achievable_bps = q::BitsPerSec{getd("netchar.achievable_bps")};
-  ch.network.base_latency_s = get_s("netchar.base_latency_s");
-  ch.msg_software_s_at_fmax = get_s("msg_software_s_at_fmax");
-
-  ch.power.sys_idle_w = get_w("charpower.sys_idle_w");
-  ch.power.mem_active_w = get_w("charpower.mem_active_w");
-  ch.power.net_active_w = get_w("charpower.net_active_w");
-  for (double v : parse_doubles(get("charpower.core_active_w"))) {
-    ch.power.core_active_w.push_back(q::Watts{v});
-  }
-  for (double v : parse_doubles(get("charpower.core_stall_w"))) {
-    ch.power.core_stall_w.push_back(q::Watts{v});
-  }
-  if (ch.power.core_active_w.size() != m.node.dvfs.frequencies_hz.size() ||
-      ch.power.core_stall_w.size() != m.node.dvfs.frequencies_hz.size()) {
-    fail("power vectors do not match the DVFS frequency count");
-  }
-
-  ch.baseline.assign(static_cast<std::size_t>(m.node.cores),
-                     std::vector<BaselinePoint>(
-                         m.node.dvfs.frequencies_hz.size()));
-  std::size_t filled = 0;
-  for (const auto& r : rows) {
-    if (r.c < 1 || r.c > m.node.cores || r.fi < 0 ||
-        static_cast<std::size_t>(r.fi) >=
-            m.node.dvfs.frequencies_hz.size()) {
-      fail("baseline row (c=" + std::to_string(r.c) +
-           ", fi=" + std::to_string(r.fi) + ") out of range");
-    }
-    ch.baseline[static_cast<std::size_t>(r.c - 1)]
-               [static_cast<std::size_t>(r.fi)] = r.pt;
-    ++filled;
-  }
-  if (filled != static_cast<std::size_t>(m.node.cores) *
-                    m.node.dvfs.frequencies_hz.size()) {
-    fail("baseline table incomplete: " + std::to_string(filled) + " rows");
-  }
-  return ch;
-}
-
 }  // namespace
 
 void save_characterization(const Characterization& ch, std::ostream& os) {
   jn::Value doc = jn::Value::object();
-  doc.set("schema", jn::Value(kSchemaV2));
+  doc.set("schema", jn::Value(kSchema));
   doc.set("machine", cfg::machine_to_json(ch.machine));
   doc.set("program", jn::Value(ch.program_name));
 
@@ -476,17 +287,9 @@ void save_characterization_file(const Characterization& ch,
 }
 
 Characterization load_characterization(std::istream& is) {
-  // Sniff the format: JSON (v2) documents open with '{'; the legacy v1
-  // text format opens with its header line.
   std::ostringstream ss;
   ss << is.rdbuf();
-  const std::string text = ss.str();
-  const auto first = text.find_first_not_of(" \t\r\n");
-  if (first != std::string::npos && text[first] == '{') {
-    return load_v2(text);
-  }
-  std::istringstream v1(text);
-  return load_v1(v1);
+  return parse(ss.str());
 }
 
 Characterization load_characterization_file(const std::string& path) {

@@ -5,7 +5,7 @@
 /// A characterization pass is the expensive part of the workflow (it runs
 /// baseline executions across every (c, f) plus the network and power
 /// micro-benchmarks). On a real testbed it takes hours, so HEPEX can save
-/// the result to a plain-text file and reload it in later sessions —
+/// the result to a JSON file and reload it in later sessions —
 /// model evaluation then needs no cluster access at all.
 ///
 /// The current format is JSON (`"schema": "hepex-characterization/2"`)
@@ -14,7 +14,6 @@
 /// numbers use shortest-round-trip formatting, so save→load→save is
 /// byte-identical. The embedded machine description reuses the scenario
 /// platform schema (`cfg::machine_to_json`), so it exists exactly once.
-/// Files in the legacy v1 `key = value` text layout still load.
 
 #include <iosfwd>
 #include <string>
@@ -30,10 +29,9 @@ void save_characterization(const Characterization& ch, std::ostream& os);
 void save_characterization_file(const Characterization& ch,
                                 const std::string& path);
 
-/// Parse a characterization previously written by save_characterization —
-/// either the JSON v2 schema or the legacy v1 text format (detected from
-/// the first non-space byte). Throws std::invalid_argument on malformed
-/// input, with a field path (v2) or line number (v1).
+/// Parse a characterization previously written by save_characterization
+/// (the JSON v2 schema). Throws std::invalid_argument on malformed input,
+/// with a line and column (malformed JSON) or a field path.
 Characterization load_characterization(std::istream& is);
 
 /// Convenience: read from `path`; throws std::runtime_error when the file

@@ -21,8 +21,7 @@ namespace hepex::util::schemas {
 // Declarative run configuration (docs/scenarios.md).
 inline constexpr const char* kScenario = "hepex-scenario/1";
 
-// Serialized characterization artifact (docs/model.md). (The legacy v1
-// format announces itself with a plain-text header, not a schema tag.)
+// Serialized characterization artifact (docs/model.md).
 inline constexpr const char* kCharacterizationV2 = "hepex-characterization/2";
 
 // RunReport provenance artifact (docs/observability.md).

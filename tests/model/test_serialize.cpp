@@ -183,83 +183,55 @@ TEST(Serialize, IncompleteTableRejected) {
                std::invalid_argument);
 }
 
-TEST(Serialize, LegacyV1TextFormatStillLoads) {
-  // A minimal but complete v1 document (the pre-JSON key=value layout):
-  // one core, two DVFS points, comments and blank lines in the mix.
-  const std::string v1 =
+/// Only the JSON format loads: the pre-JSON v1 `key = value` text is
+/// rejected by the JSON parser at its first byte.
+TEST(Serialize, LegacyV1TextFormatIsRejected) {
+  std::stringstream in(
       "hepex-characterization v1\n"
-      "# a comment\n"
-      "\n"
-      "machine.name = legacy\n"
-      "machine.nodes_available = 2\n"
-      "machine.model_node_counts = 1 2\n"
-      "node.cores = 1\n"
-      "isa.family = armv7a\n"
-      "isa.name = old-core\n"
-      "isa.work_cpi = 1.5\n"
-      "isa.pipeline_stall_per_work_cycle = 0.3\n"
-      "isa.memory_overlap = 0.2\n"
-      "isa.memory_level_parallelism = 2\n"
-      "isa.message_software_cycles = 60000\n"
-      "dvfs.frequencies_hz = 500000000 1000000000\n"
-      "dvfs.v_min = 0.9\n"
-      "dvfs.v_max = 1.1\n"
-      "cache.l1_per_core_bytes = 32768\n"
-      "cache.l2_shared_bytes = 1048576\n"
-      "cache.l3_shared_bytes = 0\n"
-      "cache.cold_miss_fraction = 0.02\n"
-      "cache.knee = 2\n"
-      "memory.bandwidth_bytes_per_s = 1.3e9\n"
-      "memory.latency_s = 9e-8\n"
-      "memory.capacity_bytes = 1e9\n"
-      "memory.line_bytes = 32\n"
-      "network.link_bits_per_s = 1e8\n"
-      "network.switch_latency_s = 3e-5\n"
-      "network.header_bytes_per_frame = 78\n"
-      "network.payload_bytes_per_frame = 1448\n"
-      "power.core.active_coeff = 2e-9\n"
-      "power.core.stall_fraction = 0.5\n"
-      "power.mem_active_w = 1\n"
-      "power.net_active_w = 0.5\n"
-      "power.sys_idle_w = 3\n"
-      "power.meter_offset_sigma_w = 0.4\n"
-      "program = CP\n"
-      "baseline.class = W\n"
-      "baseline.iterations = 4\n"
-      "baseline.cells = 1000\n"
-      "comm.n_probe = 2\n"
-      "comm.eta = 6\n"
-      "comm.nu = 4096\n"
-      "comm.size_cv = 0.2\n"
-      "comm.pattern = all-to-all\n"
-      "netchar.achievable_bps = 9e7\n"
-      "netchar.base_latency_s = 1e-4\n"
-      "msg_software_s_at_fmax = 6e-5\n"
-      "charpower.sys_idle_w = 3.1\n"
-      "charpower.mem_active_w = 1.05\n"
-      "charpower.net_active_w = 0.52\n"
-      "charpower.core_active_w = 0.5 1.2\n"
-      "charpower.core_stall_w = 0.3 0.7\n"
-      "baseline-table\n"
-      "# c f_index work nonmem mem util instr\n"
-      "1 0 1e9 1e8 2e8 0.8 5e8\n"
-      "1 1 1e9 1e8 3e8 0.7 5e8\n"
-      "end\n";
-  std::stringstream in(v1);
-  const Characterization ch = load_characterization(in);
-  EXPECT_EQ(ch.machine.name, "legacy");
-  EXPECT_EQ(ch.program_name, "CP");
-  EXPECT_EQ(ch.pattern, workload::CommPattern::kAllToAll);
-  EXPECT_DOUBLE_EQ(ch.baseline[0][1].mem_stalls, 3e8);
+      "machine.name = legacy\n");
+  try {
+    (void)load_characterization(in);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "characterization: line 1, column 1: invalid value");
+  }
+}
 
-  // And it re-saves as v2: save -> load -> save is byte-identical.
-  std::stringstream v2a;
-  save_characterization(ch, v2a);
-  std::stringstream v2in(v2a.str());
-  const Characterization again = load_characterization(v2in);
-  std::stringstream v2b;
-  save_characterization(again, v2b);
-  EXPECT_EQ(v2a.str(), v2b.str());
+/// Error message of reloading the sample after `mutate`.
+std::string error_of(const std::function<void(util::json::Value&)>& mutate) {
+  try {
+    (void)reload_mutated(mutate);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no error";
+  return "";
+}
+
+TEST(Serialize, TopLevelErrorPathsHaveNoLeadingDot) {
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              doc.set("schema", util::json::Value(2));
+            }),
+            "characterization: schema: expected a string, got 2");
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              doc.set("program", util::json::Value(2));
+            }),
+            "characterization: program: expected a string, got 2");
+}
+
+TEST(Serialize, OutOfRangeIntegersAreRejectedWithTheirPath) {
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              member(doc, "baseline").set("iterations",
+                                          util::json::Value(1e300));
+            }),
+            "characterization: baseline.iterations: expected an integer, "
+            "got 1e+300");
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              auto& row = member(doc, "baseline_table").as_array()[0];
+              row.as_array()[0] = util::json::Value(-1e300);
+            }),
+            "characterization: baseline_table[0][0]: expected an integer, "
+            "got -1e+300");
 }
 
 }  // namespace

@@ -964,7 +964,7 @@ int cmd_characterize(const util::CliArgs& args) {
   require_flags(args, {"machine", "program", "class", "out"});
   const cfg::Scenario s = scenario_from(args);
   const auto ch = model::characterize(s.machine, s.program);
-  const std::string out = args.get_or("out", "characterization.txt");
+  const std::string out = args.get_or("out", "characterization.json");
   model::save_characterization_file(ch, out);
   std::printf("characterized %s on %s -> %s\n", s.program.name.c_str(),
               s.machine.name.c_str(), out.c_str());
