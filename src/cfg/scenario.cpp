@@ -837,7 +837,10 @@ Scenario default_scenario() {
 // --- load -----------------------------------------------------------------
 
 Scenario load_scenario(const std::string& text, const std::string& source) {
-  const jn::Value doc = jn::parse(text, source);
+  return load_scenario(jn::parse(text, source), source);
+}
+
+Scenario load_scenario(const jn::Value& doc, const std::string& source) {
   Reader top(doc, "", source);
 
   {
@@ -976,6 +979,10 @@ Scenario load_scenario_file(const std::string& path) {
 // --- save -----------------------------------------------------------------
 
 std::string save_scenario(const Scenario& s) {
+  return jn::dump(scenario_to_json(s));
+}
+
+jn::Value scenario_to_json(const Scenario& s) {
   Writer top(/*full=*/false);
   top.set("schema", jn::Value(kScenarioSchema));
   top.str("name", s.name, "");
@@ -1020,7 +1027,7 @@ std::string save_scenario(const Scenario& s) {
   top.obj("obs", s.obs, ObsSettings{});
   top.integer("jobs", s.jobs, 0);
 
-  return jn::dump(top.take());
+  return top.take();
 }
 
 void save_scenario_file(const Scenario& s, const std::string& path) {

@@ -141,6 +141,19 @@ Scenario default_scenario();
 Scenario load_scenario(const std::string& text,
                        const std::string& source = "scenario");
 
+/// `load_scenario` on an already-parsed document (a scenario embedded in
+/// a larger one, such as a `hepexd` request). The same validation and
+/// `source: <path>` errors, without serializing and re-parsing.
+Scenario load_scenario(const util::json::Value& doc,
+                       const std::string& source = "scenario");
+
+/// A string literal is text: without this overload it would convert
+/// equally well to `std::string` and to `util::json::Value`.
+inline Scenario load_scenario(const char* text,
+                              const std::string& source = "scenario") {
+  return load_scenario(std::string(text), source);
+}
+
 /// Load a scenario from a file. Throws std::runtime_error when the file
 /// cannot be read; parse/validation errors as in `load_scenario`.
 Scenario load_scenario_file(const std::string& path);
@@ -150,6 +163,10 @@ Scenario load_scenario_file(const std::string& path);
 /// comparison), quantities with unit suffixes, shortest round-trip
 /// numbers. `load(save(s))` reproduces `s` field-for-field bit-identically.
 std::string save_scenario(const Scenario& s);
+
+/// The document `save_scenario` prints, as a value:
+/// `save_scenario(s) == util::json::dump(scenario_to_json(s))`.
+util::json::Value scenario_to_json(const Scenario& s);
 
 /// Write `save_scenario(s)` to `path`; throws std::runtime_error on I/O
 /// failure.

@@ -1,53 +1,23 @@
 #include "obs/trace_sink.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
+
+#include "util/json.hpp"
 
 namespace hepex::obs {
 namespace {
 
 constexpr double kUsPerSecond = 1e6;
 
-std::string json_string(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-          out += esc;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::string json_number(double v) {
-  // Shortest representation that parses back exactly. Anything lossy
-  // (e.g. %.9g) truncates hour-scale microsecond timestamps to ~0.1 us
-  // and makes abutting spans appear to overlap in viewers.
-  char buf[64];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
 }  // namespace
+
+// Numbers go out as the JSON writer's round-trip text. Anything lossy
+// (e.g. %.9g) truncates hour-scale microsecond timestamps to ~0.1 us and
+// makes abutting spans appear to overlap in viewers.
+using util::json::number_to_string;
+using util::json::quote;
 
 void TraceSink::set_process_name(int pid, std::string name) {
   process_names_[pid] = std::move(name);
@@ -98,28 +68,30 @@ void TraceSink::write_json(std::ostream& os) const {
   for (const auto& [pid, name] : process_names_) {
     sep();
     os << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << pid
-       << ", \"tid\": 0, \"args\": {\"name\": " << json_string(name) << "}}";
+       << ", \"tid\": 0, \"args\": {\"name\": " << quote(name) << "}}";
   }
   for (const auto& [key, name] : thread_names_) {
     sep();
     os << "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " << key.first
        << ", \"tid\": " << key.second
-       << ", \"args\": {\"name\": " << json_string(name) << "}}";
+       << ", \"args\": {\"name\": " << quote(name) << "}}";
   }
   for (const Event* e : order) {
     sep();
     os << "{\"ph\": \"" << e->phase << "\", \"pid\": " << e->pid
-       << ", \"tid\": " << e->tid << ", \"ts\": " << json_number(e->ts_us)
-       << ", \"name\": " << json_string(e->name);
+       << ", \"tid\": " << e->tid
+       << ", \"ts\": " << number_to_string(e->ts_us)
+       << ", \"name\": " << quote(e->name);
     if (!e->category.empty()) {
-      os << ", \"cat\": " << json_string(e->category);
+      os << ", \"cat\": " << quote(e->category);
     }
     if (e->phase == 'X') {
-      os << ", \"dur\": " << json_number(e->dur_us);
+      os << ", \"dur\": " << number_to_string(e->dur_us);
     } else if (e->phase == 'i') {
       os << ", \"s\": \"t\"";
     } else if (e->phase == 'C') {
-      os << ", \"args\": {\"value\": " << json_number(e->value) << "}";
+      os << ", \"args\": {\"value\": " << number_to_string(e->value)
+         << "}";
     }
     os << "}";
   }

@@ -323,8 +323,7 @@ std::string Server::dispatch_job(const Request& req) {
 
   // Resolve through the same loader the CLI uses — full unknown-key and
   // range validation, `request.scenario: <path>` error positions.
-  cfg::Scenario s = cfg::load_scenario(util::json::dump_compact(req.scenario),
-                                       "request.scenario");
+  cfg::Scenario s = cfg::load_scenario(req.scenario, "request.scenario");
   // Server-side overrides: no file outputs on behalf of remote peers
   // (a scenario's obs paths would write to the daemon's filesystem), and
   // parallel width is the daemon's, not the request's.

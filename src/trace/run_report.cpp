@@ -6,6 +6,7 @@
 #include "obs/registry.hpp"
 #include "obs/span_agg.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 #include "workload/program.hpp"
 
 namespace hepex::trace {
@@ -27,14 +28,17 @@ void fill_common(obs::RunReport& r, const cfg::Scenario& s,
   canon.obs.trace_path.clear();
   canon.obs.metrics_path.clear();
   canon.obs.report_path.clear();
-  const std::string canonical = cfg::save_scenario(canon);
+  r.scenario = cfg::scenario_to_json(canon);
   // Pool width is excluded from the identity too: results are identical
   // at any --jobs N, and a baseline captured at one width must be able
   // to gate a rerun pinned to another. The embedded scenario still
-  // records the width actually used.
-  canon.jobs = 0;
-  r.scenario_fingerprint = util::fingerprint(cfg::save_scenario(canon));
-  r.scenario = util::json::parse(canonical, "scenario");
+  // records the width actually used; at width 0 it is the identity.
+  if (canon.jobs == 0) {
+    r.scenario_fingerprint = util::fingerprint(util::json::dump(r.scenario));
+  } else {
+    canon.jobs = 0;
+    r.scenario_fingerprint = util::fingerprint(cfg::save_scenario(canon));
+  }
   r.platform_preset = s.platform_preset;
   r.machine = s.machine.name;
   r.program = s.program_name;

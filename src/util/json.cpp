@@ -1,7 +1,8 @@
 #include "util/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -102,37 +103,150 @@ bool Value::operator==(const Value& other) const {
   return false;
 }
 
-std::string number_to_string(double v) {
-  HEPEX_ASSERT(std::isfinite(v), "JSON cannot represent a non-finite number");
-  char buf[64];
-  for (int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+namespace {
+
+/// Longest text `write_number` writes: "-0.0001" plus 17 digits, or
+/// "-d." plus 16 digits plus "e-308".
+constexpr std::size_t kNumberChars = 32;
+
+/// A decimal d.ddd x 10^exp split out of `to_chars` scientific text.
+struct Decimal {
+  bool neg = false;
+  char digits[20] = {};
+  int count = 0;  // significant digits, trailing zeros dropped
+  int exp = 0;
+};
+
+Decimal split_scientific(const char* p, const char* end) {
+  Decimal d;
+  if (*p == '-') {
+    d.neg = true;
+    ++p;
   }
-  return buf;
+  for (; *p != 'e'; ++p) {
+    if (*p != '.') d.digits[d.count++] = *p;
+  }
+  while (d.count > 1 && d.digits[d.count - 1] == '0') --d.count;
+  ++p;
+  const bool neg_exp = *p++ == '-';
+  for (; p != end; ++p) d.exp = 10 * d.exp + (*p - '0');
+  if (neg_exp) d.exp = -d.exp;
+  return d;
 }
 
-std::string quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+/// Writes `v` the way printf's `%.{P}g` does in the C locale, for the
+/// smallest P in {15, 16, 17} whose text parses back to `v`. That is the
+/// layout every HEPEX artifact has always used; this reaches it without
+/// printf or strtod.
+///
+/// The digits are the shortest round-trip digits from `to_chars`, and
+/// P = max(15, their count). With at most 15 digits, `%.15g` rounds to
+/// those same digits: two 15-digit decimals lie further apart than one
+/// double ulp, so only one fits `v`'s rounding interval. With 16 or 17,
+/// `%.{P}g` is the nearest P-digit decimal, which `to_chars` also picks
+/// among its shortest candidates. Two kinds of doubles break that
+/// argument and run printf's precision loop on `to_chars` instead
+/// (`to_chars` with a precision is specified as printf): subnormals,
+/// whose shortest digits can be fewer than the 15 `%.15g` prints, and
+/// powers of two, whose rounding interval is half as wide below `v`, so
+/// the nearest 16-digit decimal can miss it while a farther one above
+/// fits.
+char* write_number(char* out, double v) {
+  char sci[kNumberChars];
+  Decimal d = split_scientific(
+      sci, std::to_chars(sci, sci + sizeof(sci), v,
+                         std::chars_format::scientific)
+               .ptr);
+  int precision = std::max(15, d.count);
+  int exp2 = 0;
+  if (std::fpclassify(v) == FP_SUBNORMAL ||
+      (d.count > 15 && std::frexp(std::fabs(v), &exp2) == 0.5)) {
+    for (precision = 15;; ++precision) {
+      char* end = std::to_chars(sci, sci + sizeof(sci), v,
+                                std::chars_format::scientific, precision - 1)
+                      .ptr;
+      double back = 0.0;
+      std::from_chars(sci, end, back);
+      if (back == v || precision == 17) {
+        d = split_scientific(sci, end);
+        break;
+      }
+    }
+  }
+
+  if (d.neg) *out++ = '-';
+  if (d.exp >= -4 && d.exp < precision) {
+    if (d.exp < 0) {
+      *out++ = '0';
+      *out++ = '.';
+      out = std::fill_n(out, -d.exp - 1, '0');
+      return std::copy_n(d.digits, d.count, out);
+    }
+    const int whole = d.exp + 1;
+    if (d.count <= whole) {
+      out = std::copy_n(d.digits, d.count, out);
+      return std::fill_n(out, whole - d.count, '0');
+    }
+    out = std::copy_n(d.digits, whole, out);
+    *out++ = '.';
+    return std::copy_n(d.digits + whole, d.count - whole, out);
+  }
+  *out++ = d.digits[0];
+  if (d.count > 1) {
+    *out++ = '.';
+    out = std::copy_n(d.digits + 1, d.count - 1, out);
+  }
+  *out++ = 'e';
+  *out++ = d.exp < 0 ? '-' : '+';
+  const int x = std::abs(d.exp);
+  if (x >= 100) *out++ = static_cast<char>('0' + x / 100);
+  *out++ = static_cast<char>('0' + x / 10 % 10);
+  *out++ = static_cast<char>('0' + x % 10);
+  return out;
+}
+
+void append_number(std::string& out, double v) {
+  HEPEX_ASSERT(std::isfinite(v), "JSON cannot represent a non-finite number");
+  char buf[kNumberChars];
+  out.append(buf, write_number(buf, v));
+}
+
+void append_quoted(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (char c : s) {
+  std::size_t run = 0;  // start of the pending verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-          out += esc;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof(esc));
+      }
     }
   }
+  out.append(s, run, s.size() - run);
   out.push_back('"');
+}
+
+}  // namespace
+
+std::string number_to_string(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
+}
+
+std::string quote(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_quoted(out, s);
   return out;
 }
 
@@ -291,16 +405,22 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run of plain bytes up to the next quote, escape or
+      // control byte in one append.
+      std::size_t end = pos_;
+      while (end < text_.size()) {
+        const auto b = static_cast<unsigned char>(text_[end]);
+        if (b < 0x20 || b == '"' || b == '\\') break;
+        ++end;
+      }
+      out.append(text_, pos_, end - pos_);
+      pos_ = end;
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20) {
         --pos_;
         fail("raw control character in string (use \\u escapes)");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
       }
       if (pos_ >= text_.size()) fail("unterminated escape sequence");
       const char e = text_[pos_++];
@@ -365,10 +485,42 @@ class Parser {
       if (peek() < '0' || peek() > '9') fail("digit expected in exponent");
       while (peek() >= '0' && peek() <= '9') ++pos_;
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    const double v = std::strtod(token.c_str(), nullptr);
-    if (!std::isfinite(v)) fail("number out of double range");
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double v = 0.0;
+    if (std::from_chars(first, last, v).ec == std::errc::result_out_of_range) {
+      if (!underflows(first, last)) fail("number out of double range");
+      v = *first == '-' ? -0.0 : 0.0;
+    }
     return Value(v);
+  }
+
+  /// For a grammar-checked number `from_chars` rejected as out of range:
+  /// true when it is too small for a double (read as ±0, as strtod
+  /// always has) rather than too large. Out-of-range magnitudes lie below
+  /// 2.5e-324 or above 1.8e308, so the sign of the leading digit's decimal
+  /// exponent decides. Unlike a strtod fallback, this reads no locale.
+  static bool underflows(const char* p, const char* last) {
+    if (*p == '-') ++p;
+    long lead = 0;  // decimal exponent of the first non-zero digit
+    if (*p == '0') {
+      ++p;
+      if (p != last && *p == '.') {
+        for (++p; p != last && *p == '0'; ++p) --lead;
+      }
+      --lead;
+    } else {
+      for (++p; p != last && *p >= '0' && *p <= '9'; ++p) ++lead;
+    }
+    while (p != last && *p != 'e' && *p != 'E') ++p;
+    long exp = 0;
+    bool neg_exp = false;
+    if (p != last) {
+      ++p;
+      if (*p == '+' || *p == '-') neg_exp = *p++ == '-';
+      for (; p != last; ++p) exp = std::min(10 * exp + (*p - '0'), 1000000L);
+    }
+    return lead + (neg_exp ? -exp : exp) < 0;
   }
 
   const std::string& text_;
@@ -379,15 +531,16 @@ class Parser {
 };
 
 void dump_into(const Value& v, std::string& out, int depth, bool pretty) {
-  const std::string pad = pretty ? std::string(2 * (depth + 1), ' ') : "";
-  const std::string close_pad = pretty ? std::string(2 * depth, ' ') : "";
-  const char* nl = pretty ? "\n" : "";
-  const char* colon = pretty ? ": " : ":";
+  const auto newline_pad = [&out, pretty](int level) {
+    if (!pretty) return;
+    out.push_back('\n');
+    out.append(static_cast<std::size_t>(2 * level), ' ');
+  };
   switch (v.kind()) {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += v.as_bool() ? "true" : "false"; break;
-    case Kind::kNumber: out += number_to_string(v.as_number()); break;
-    case Kind::kString: out += quote(v.as_string()); break;
+    case Kind::kNumber: append_number(out, v.as_number()); break;
+    case Kind::kString: append_quoted(out, v.as_string()); break;
     case Kind::kArray: {
       const auto& a = v.as_array();
       if (a.empty()) {
@@ -403,25 +556,21 @@ void dump_into(const Value& v, std::string& out, int depth, bool pretty) {
           break;
         }
       }
+      out.push_back('[');
       if (scalar || !pretty) {
-        out += "[";
         for (std::size_t i = 0; i < a.size(); ++i) {
           if (i > 0) out += pretty ? ", " : ",";
           dump_into(a[i], out, depth, pretty);
         }
-        out += "]";
       } else {
-        out += "[";
-        out += nl;
         for (std::size_t i = 0; i < a.size(); ++i) {
-          out += pad;
+          if (i > 0) out.push_back(',');
+          newline_pad(depth + 1);
           dump_into(a[i], out, depth + 1, pretty);
-          if (i + 1 < a.size()) out += ",";
-          out += nl;
         }
-        out += close_pad;
-        out += "]";
+        newline_pad(depth);
       }
+      out.push_back(']');
       break;
     }
     case Kind::kObject: {
@@ -430,18 +579,16 @@ void dump_into(const Value& v, std::string& out, int depth, bool pretty) {
         out += "{}";
         break;
       }
-      out += "{";
-      out += nl;
+      out.push_back('{');
       for (std::size_t i = 0; i < m.size(); ++i) {
-        out += pad;
-        out += quote(m[i].first);
-        out += colon;
+        if (i > 0) out.push_back(',');
+        newline_pad(depth + 1);
+        append_quoted(out, m[i].first);
+        out += pretty ? ": " : ":";
         dump_into(m[i].second, out, depth + 1, pretty);
-        if (i + 1 < m.size()) out += ",";
-        out += nl;
       }
-      out += close_pad;
-      out += "}";
+      newline_pad(depth);
+      out.push_back('}');
       break;
     }
   }

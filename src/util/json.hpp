@@ -104,7 +104,9 @@ struct ParseLimits {
   std::size_t max_bytes = 64u << 20;  // 64 MiB
 };
 
-/// Parse strict JSON. Throws std::invalid_argument with
+/// Parse strict JSON. Numbers read as `std::from_chars` reads them, so
+/// independently of `LC_NUMERIC`; one below the double range reads as
+/// ±0, one above it is an error. Throws std::invalid_argument with
 /// `"<source>: line L, column C: <why>"` on malformed input (`source`
 /// defaults to "json") — including a document that exceeds `limits`
 /// (total size, container nesting depth). Trailing non-whitespace is an
@@ -119,8 +121,10 @@ std::string dump(const Value& v);
 /// Serialize without insignificant whitespace (single line, no newline).
 std::string dump_compact(const Value& v);
 
-/// The shortest decimal string that parses back to exactly `v`
-/// (tries %.15g, %.16g, %.17g). Integral values print without a point.
+/// `v` as printf's `%.{P}g` prints it in the C locale, for the smallest
+/// P in {15, 16, 17} that parses back to exactly `v` — built from the
+/// shortest round-trip digits of `std::to_chars`, so the text is the
+/// same under any `LC_NUMERIC`. Integral values print without a point.
 /// Non-finite values are a precondition violation (JSON cannot carry
 /// them); callers validate finiteness first.
 std::string number_to_string(double v);

@@ -6,10 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <clocale>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "util/rng.hpp"
 
 namespace hepex::util::json {
 namespace {
@@ -78,6 +86,158 @@ TEST(Json, IntegralNumbersPrintWithoutPoint) {
   EXPECT_EQ(number_to_string(42.0), "42");
   EXPECT_EQ(number_to_string(-7.0), "-7");
   EXPECT_EQ(number_to_string(1e6), "1000000");
+}
+
+// --- number text: byte-equal to printf, bit-exact back -----------------
+
+namespace {
+
+/// The layout `number_to_string` promises, spelled with printf: the
+/// smallest of %.15g, %.16g, %.17g that reads back to `v`. This reference
+/// lives only here; the library reaches the same bytes from
+/// `std::to_chars`.
+std::string printf_reference(double v) {
+  char buf[64];
+  for (int precision : {15, 16, 17}) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+/// Checks one double; returns false (after one gtest failure) on a miss so
+/// a broken formatter reports a handful of values, not half a million.
+bool formats_like_printf(double v) {
+  const std::string text = number_to_string(v);
+  const std::string want = printf_reference(v);
+  if (text != want) {
+    ADD_FAILURE() << "number_to_string(" << want << ") = " << text;
+    return false;
+  }
+  const double back = parse(text).as_number();
+  if (std::bit_cast<std::uint64_t>(back) != std::bit_cast<std::uint64_t>(v)) {
+    ADD_FAILURE() << text << " does not read back bit-exactly";
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(JsonNumbers, RandomBitPatternsMatchThePrintfLayout) {
+  // Every finite double is fair game: the exponent field is uniform, so
+  // subnormals and ±0 get their own draws beside the normal range.
+  util::SplitMix64 rng(0x15EED);
+  int misses = 0;
+  for (int i = 0; i < 300'000 && misses < 10; ++i) {
+    std::uint64_t bits = rng.next();
+    if (i % 64 == 0) bits &= 0x800FFFFFFFFFFFFFULL;  // subnormal or ±0
+    if (i % 4096 == 0) bits &= 0x8000000000000000ULL;  // ±0
+    const double v = std::bit_cast<double>(bits);
+    if (!std::isfinite(v)) continue;
+    if (!formats_like_printf(v)) ++misses;
+  }
+}
+
+TEST(JsonNumbers, DecimalScaledValuesMatchThePrintfLayout) {
+  // The values HEPEX artifacts actually hold: decimals of 1 to 17
+  // significant digits, mostly near unit scale, some at the range edges.
+  util::SplitMix64 rng(0xDEC1);
+  int misses = 0;
+  for (int i = 0; i < 300'000 && misses < 10; ++i) {
+    const int digits = 1 + static_cast<int>(rng.next() % 17);
+    std::uint64_t mantissa = 1 + rng.next() % 9;
+    for (int d = 1; d < digits; ++d) mantissa = 10 * mantissa + rng.next() % 10;
+    const int span = i % 8 == 0 ? 640 : 40;
+    const int exponent = static_cast<int>(rng.next() % span) - span / 2;
+    const std::string text = (rng.next() % 2 == 0 ? "" : "-") +
+                             std::to_string(mantissa) + "e" +
+                             std::to_string(exponent);
+    const double v = std::strtod(text.c_str(), nullptr);
+    if (!std::isfinite(v)) continue;
+    if (!formats_like_printf(v)) ++misses;
+  }
+}
+
+TEST(JsonNumbers, PowersOfTwoAndTheirNeighboursMatchThePrintfLayout) {
+  // A power of two's rounding interval is half as wide below it, the one
+  // place where the nearest 16-digit decimal can fail to read back.
+  int misses = 0;
+  for (int e = -1074; e <= 1023 && misses < 10; ++e) {
+    const double p = std::ldexp(1.0, e);
+    const double up = std::nextafter(p, std::numeric_limits<double>::max());
+    for (const double v : {p, std::nextafter(p, 0.0), up}) {
+      if (!formats_like_printf(v) || !formats_like_printf(-v)) ++misses;
+    }
+  }
+  EXPECT_EQ(number_to_string(std::ldexp(1.0, -1017)),
+            "7.1202363472230444e-307");
+  EXPECT_EQ(number_to_string(std::numeric_limits<double>::denorm_min()),
+            "4.94065645841247e-324");
+}
+
+TEST(JsonNumbers, UnderflowReadsAsSignedZero) {
+  const double pos = parse("1e-400").as_number();
+  const double neg = parse("-1e-400").as_number();
+  EXPECT_EQ(pos, 0.0);
+  EXPECT_FALSE(std::signbit(pos));
+  EXPECT_EQ(neg, 0.0);
+  EXPECT_TRUE(std::signbit(neg));
+  // The leading digit decides, not the exponent's sign.
+  EXPECT_EQ(parse("0.000001e-320").as_number(), 0.0);
+  EXPECT_THROW(parse("1000000e303"), std::invalid_argument);
+}
+
+TEST(JsonNumbers, SubnormalsReadExactly) {
+  const double v = parse("4e-320").as_number();
+  EXPECT_EQ(std::fpclassify(v), FP_SUBNORMAL);
+  EXPECT_EQ(v, 4e-320);
+  EXPECT_EQ(parse("5e-324").as_number(),
+            std::numeric_limits<double>::denorm_min());
+}
+
+TEST(JsonNumbers, OverflowIsAPositionedError) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"{\"x\":\n  1e400}",
+       "doc: line 2, column 8: number out of double range"},
+      {"{\"x\":\n  -1e400}",
+       "doc: line 2, column 9: number out of double range"},
+  };
+  for (const auto& [doc, want] : cases) {
+    try {
+      parse(doc, "doc");
+      ADD_FAILURE() << doc << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), want);
+    }
+  }
+}
+
+TEST(JsonNumbers, NegativeZeroKeepsItsSign) {
+  const double v = parse("-0").as_number();
+  EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(std::signbit(v));
+  EXPECT_EQ(number_to_string(v), "-0");
+  EXPECT_EQ(dump_compact(parse("[-0, 0, -0.0]")), "[-0,0,-0]");
+}
+
+TEST(JsonNumbers, TextIgnoresTheNumericLocale) {
+  // A host program may switch LC_NUMERIC to a decimal-comma locale;
+  // HEPEX JSON must still print and read a decimal point.
+  const std::string previous = std::setlocale(LC_NUMERIC, nullptr);
+  if (std::setlocale(LC_NUMERIC, "de_DE.UTF-8") == nullptr) {
+    GTEST_SKIP() << "locale de_DE.UTF-8 is not installed";
+  }
+  const std::string text = dump_compact(Value(0.5));
+  const double half = parse("0.5").as_number();
+  const double tiny = parse("1.5e-400").as_number();
+  const std::string sub =
+      number_to_string(std::numeric_limits<double>::denorm_min());
+  std::setlocale(LC_NUMERIC, previous.c_str());
+  EXPECT_EQ(text, "0.5");
+  EXPECT_EQ(half, 0.5);
+  EXPECT_EQ(tiny, 0.0);
+  EXPECT_EQ(sub, "4.94065645841247e-324");
 }
 
 TEST(Json, PrettyDumpShapeIsStable) {
