@@ -26,14 +26,6 @@ using namespace hepex;
 
 namespace {
 
-const pareto::ConfigPoint& min_energy(
-    const std::vector<pareto::ConfigPoint>& pts) {
-  return *std::min_element(pts.begin(), pts.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.energy_j < b.energy_j;
-                           });
-}
-
 /// Simulate `cfg` under a Poisson failure plan matching `spec`, averaged
 /// over `seeds` plan seeds. Returns mean total energy [J].
 double simulated_mean_energy_j(const hw::MachineSpec& machine,
@@ -81,7 +73,7 @@ int main(int argc, char** argv) {
   core::Advisor advisor(machine, program, bench::standard_options());
 
   const auto& space = advisor.explore();
-  const auto& best_ff = min_energy(space);
+  const auto& best_ff = *pareto::min_energy(space);
   std::printf("Fault-free optimum: %s  T=%s s  E=%s kJ\n\n",
               bench::cell_config(best_ff.config).c_str(),
               bench::cell_time(best_ff.time_s).c_str(),

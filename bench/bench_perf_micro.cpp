@@ -25,8 +25,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "obs/registry.hpp"
-#include "obs/span_agg.hpp"
+#include "core/run.hpp"
 #include "par/thread_pool.hpp"
 #include "trace/run_report.hpp"
 #include "util/schemas.hpp"
@@ -278,23 +277,11 @@ int run_json_mode(int argc, char** argv, const std::string& report_path) {
     cfg::Scenario rs = bench::scenario("xeon", "SP", workload::InputClass::kS);
     rs.name = "perf-micro";
     rs.config = sim_cfg;
-    obs::Registry rep_registry;
-    obs::SpanAggregator rep_spans;
-    trace::SimOptions rep_opt;
-    rep_opt.metrics = &rep_registry;
-    rep_opt.spans = &rep_spans;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto meas =
-        trace::simulate(rs.machine, rs.program, rs.single_config(), rep_opt);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    trace::RunReportOptions ro;
-    ro.command = "bench";
-    ro.metrics = &rep_registry;
-    ro.spans = &rep_spans;
-    ro.host_wall_s = wall_s;
-    trace::build_run_report(rs, meas, ro).save_file(report_path);
+    rs.obs.report_path = report_path;
+    core::RunResult res = core::run(rs, core::Method::kSimulate);
+    res.report.command = "bench";
+    trace::stamp_host(res.report, res.wall.value(), res.metrics.get());
+    res.report.save_file(report_path);
     std::printf("  report   : %s\n", report_path.c_str());
   }
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <concepts>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -13,6 +12,7 @@
 #include "hw/presets.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/number.hpp"
 #include "workload/programs.hpp"
 
 namespace hepex::cfg {
@@ -143,13 +143,8 @@ std::string quantity_text(double magnitude, const Unit<Q>& u) {
 /// True when the whole (space-trimmed) text parses as a plain number —
 /// i.e. the unit suffix is missing.
 bool is_plain_number(const std::string& text) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  const double d = std::strtod(begin, &end);
-  (void)d;
-  if (end == begin) return false;
-  while (*end == ' ') ++end;
-  return *end == '\0';
+  const std::size_t used = util::read_double(text).used;
+  return used != 0 && text.find_first_not_of(' ', used) == std::string::npos;
 }
 
 /// Bare numbers (with or without quotes) are rejected: scenarios must

@@ -9,8 +9,8 @@
 /// artifact (`"schema": "hepex-scenario/1"`). Every construction path in
 /// the repo goes through it: the CLI (`--scenario file.json`, remaining
 /// flags layered on top), the benches (`bench::common`), the examples and
-/// the `from_scenario(...)` entry points on `core::Advisor`,
-/// `core::validate`, `trace::simulate` and `trace::simulate_ensemble`.
+/// the scenario entry points `core::run` and
+/// `core::Advisor::from_scenario`.
 ///
 /// Reference-plus-override model: a scenario names a platform preset and
 /// a program from the registries (`hw::machine_names()`,

@@ -1,6 +1,6 @@
 #include "core/advisor.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "cfg/scenario.hpp"
 #include "obs/log.hpp"
@@ -128,11 +128,7 @@ pareto::ConfigPoint Advisor::recommend_resilient(
   const auto points = explore_resilient(spec);
   HEPEX_REQUIRE(!points.empty(),
                 "no configuration makes progress at this failure rate");
-  const pareto::ConfigPoint* best = &points.front();
-  for (const auto& p : points) {
-    if (p.energy_j < best->energy_j) best = &p;
-  }
-  return *best;
+  return *pareto::min_energy(points);
 }
 
 std::vector<pareto::ConfigPoint> Advisor::split_alternatives(int total_cores,
@@ -158,11 +154,7 @@ pareto::ConfigPoint Advisor::throttle_concurrency(int nodes, q::Hertz f_hz) {
   }
   const auto points = pareto::sweep_model(
       characterization(), model::target_of(program_), cfgs);
-  const pareto::ConfigPoint* best = &points.front();
-  for (const auto& p : points) {
-    if (p.energy_j < best->energy_j) best = &p;
-  }
-  return *best;
+  return *pareto::min_energy(points);
 }
 
 Advisor Advisor::with_memory_bandwidth(double factor) {

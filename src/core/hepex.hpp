@@ -11,9 +11,11 @@
 ///  - `model::characterize()` + `model::predict()` — the analytical model.
 ///  - `pareto::pareto_frontier()` — time-energy optimal configurations.
 ///  - `core::Advisor` — all of the above behind one object.
+///  - `core::run()` — a Scenario as a RunReport (the CLI's command layer).
 
 #include "core/advisor.hpp"          // IWYU pragma: export
 #include "core/report.hpp"           // IWYU pragma: export
+#include "core/run.hpp"              // IWYU pragma: export
 #include "core/validation.hpp"       // IWYU pragma: export
 #include "hw/presets.hpp"            // IWYU pragma: export
 #include "model/bounds.hpp"          // IWYU pragma: export

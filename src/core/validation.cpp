@@ -2,7 +2,6 @@
 
 #include <cstddef>
 
-#include "cfg/scenario.hpp"
 #include "model/predictor.hpp"
 #include "par/thread_pool.hpp"
 #include "trace/execution_engine.hpp"
@@ -69,15 +68,6 @@ ValidationReport validate(const hw::MachineSpec& machine,
     report.rows.push_back(row);
   }
   return report;
-}
-
-ValidationReport validate(const cfg::Scenario& scenario) {
-  model::CharacterizationOptions options;
-  options.sim.chunks_per_iteration = scenario.sim.chunks_per_iteration;
-  options.sim.jitter_cv = scenario.sim.jitter_cv;
-  options.sim.seed = scenario.sim.seed;
-  return validate(scenario.machine, scenario.program,
-                  scenario.sweep_configs(), options, scenario.jobs);
 }
 
 std::vector<hw::ClusterConfig> validation_grid(const hw::MachineSpec& machine,

@@ -17,10 +17,6 @@
 #include "util/statistics.hpp"
 #include "workload/program.hpp"
 
-namespace hepex::cfg {
-struct Scenario;
-}  // namespace hepex::cfg
-
 namespace hepex::core {
 
 /// Measured-vs-predicted numbers for one configuration.
@@ -58,12 +54,6 @@ ValidationReport validate(const hw::MachineSpec& machine,
                           const std::vector<hw::ClusterConfig>& configs,
                           const model::CharacterizationOptions& options = {},
                           int jobs = 0);
-
-/// Validate a scenario: its resolved machine and program over its sweep
-/// space (`Scenario::sweep_configs`), on up to `Scenario::jobs` threads.
-/// The scenario's sim settings seed the characterization baselines, so a
-/// scenario file and the equivalent flag set report identical errors.
-ValidationReport validate(const cfg::Scenario& scenario);
 
 /// The paper's validation grid: n in {2,4,8} (plus optionally 1),
 /// c over all cores, f over all DVFS points — 96 Xeon / 80 ARM configs

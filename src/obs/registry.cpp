@@ -62,15 +62,6 @@ const Histogram* Registry::find_histogram(const std::string& name) const {
   return it != histograms_.end() ? &it->second : nullptr;
 }
 
-void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  counter_order_.clear();
-  gauge_order_.clear();
-  histogram_order_.clear();
-}
-
 std::string Registry::to_json() const {
   return util::json::dump(to_json_value());
 }

@@ -122,9 +122,6 @@ class Registry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  /// Drop every instrument.
-  void clear();
-
   /// Snapshot as a JSON document:
   /// ```json
   /// {

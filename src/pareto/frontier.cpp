@@ -37,6 +37,14 @@ std::vector<ConfigPoint> pareto_frontier(std::vector<ConfigPoint> points) {
   return frontier;
 }
 
+const ConfigPoint* min_energy(const std::vector<ConfigPoint>& points) {
+  const ConfigPoint* best = nullptr;
+  for (const auto& p : points) {
+    if (best == nullptr || p.energy_j < best->energy_j) best = &p;
+  }
+  return best;
+}
+
 std::optional<ConfigPoint> min_energy_within_deadline(
     const std::vector<ConfigPoint>& points, q::Seconds deadline_s) {
   HEPEX_REQUIRE(deadline_s > q::Seconds{}, "deadline must be positive");

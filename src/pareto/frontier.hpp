@@ -34,6 +34,9 @@ bool dominates(const ConfigPoint& a, const ConfigPoint& b);
 /// Duplicate (time, energy) points keep a single representative.
 std::vector<ConfigPoint> pareto_frontier(std::vector<ConfigPoint> points);
 
+/// The minimum-energy point, the first of equals; null when empty.
+const ConfigPoint* min_energy(const std::vector<ConfigPoint>& points);
+
 /// Minimum-energy configuration meeting `deadline_s`; nullopt when no
 /// configuration is fast enough.
 std::optional<ConfigPoint> min_energy_within_deadline(

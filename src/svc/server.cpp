@@ -9,12 +9,9 @@
 #include <utility>
 
 #include "cfg/scenario.hpp"
-#include "core/validation.hpp"
+#include "core/run.hpp"
 #include "par/cancel.hpp"
 #include "par/thread_pool.hpp"
-#include "trace/execution_engine.hpp"
-#include "trace/run_report.hpp"
-#include "trace/scenario.hpp"
 #include "util/error.hpp"
 #include "util/schemas.hpp"
 
@@ -312,15 +309,10 @@ std::string Server::handle(const Request& req) {
     result.set("pong", true);
     return make_result_response(req.id, std::move(result));
   }
-  if (req.method == "stats") {
-    return make_result_response(req.id, stats_json());
-  }
-  return dispatch_job(req);
+  return make_result_response(req.id, stats_json());
 }
 
 std::string Server::dispatch_job(const Request& req) {
-  if (!method_runs_scenario(req.method)) return handle(req);
-
   // Resolve through the same loader the CLI uses — full unknown-key and
   // range validation, `request.scenario: <path>` error positions.
   cfg::Scenario s = cfg::load_scenario(req.scenario, "request.scenario");
@@ -330,55 +322,21 @@ std::string Server::dispatch_job(const Request& req) {
   s.obs = cfg::ObsSettings{};
   s.jobs = 0;
 
-  trace::RunReportOptions ro;
-  ro.command = req.method;
-  // host_wall_s stays 0: responses are pure functions of the request, so
-  // identical requests produce byte-identical responses (tested).
-
-  if (req.method == "advise") {
+  // core::run, as in the CLI, without a `host` section: identical requests
+  // get byte-identical responses (tested). Single-program advice uses the
+  // cached Advisor; a grid advises each point on its own.
+  if (req.method == "advise" && !s.workload_grid) {
     AdvisorCache::Lease lease = advisors_.lease(s);
-    const auto& frontier = lease.advisor().frontier();
-    auto summary = util::json::Value::object();
-    summary.set("frontier_points", static_cast<int>(frontier.size()));
-    auto points = util::json::Value::array();
-    for (const auto& p : frontier) {
-      auto pt = util::json::Value::object();
-      pt.set("n", p.config.nodes);
-      pt.set("c", p.config.cores);
-      pt.set("f_ghz", p.config.f_hz.value() / 1e9);
-      pt.set("time_s", p.time_s.value());
-      pt.set("energy_j", p.energy_j.value());
-      pt.set("ucr", p.ucr);
-      points.push_back(std::move(pt));
-    }
-    summary.set("frontier", std::move(points));
-    ro.summary = std::move(summary);
     return make_result_response(
-        req.id, trace::build_run_report(s, ro).to_json_value());
+        req.id, core::run(s, core::Method::kAdvise, {&lease.advisor(), {}})
+                    .report.to_json_value());
   }
-
-  if (req.method == "simulate") {
-    const trace::SimOptions opt = trace::sim_options_from_scenario(s);
-    const trace::Measurement meas =
-        trace::simulate(s.machine, s.program, s.single_config(), opt);
-    return make_result_response(
-        req.id, trace::build_run_report(s, meas, ro).to_json_value());
-  }
-
-  if (req.method == "validate") {
-    const core::ValidationReport report = core::validate(s);
-    auto summary = util::json::Value::object();
-    summary.set("configs", static_cast<int>(s.sweep_configs().size()));
-    summary.set("time_error_mean_pct", report.time_error.mean());
-    summary.set("time_error_max_pct", report.time_error.max());
-    summary.set("energy_error_mean_pct", report.energy_error.mean());
-    summary.set("energy_error_max_pct", report.energy_error.max());
-    ro.summary = std::move(summary);
-    return make_result_response(
-        req.id, trace::build_run_report(s, ro).to_json_value());
-  }
-
-  fail_assert("dispatch_job: unhandled method " + req.method);
+  const core::Method method = req.method == "advise" ? core::Method::kAdvise
+                              : req.method == "simulate"
+                                  ? core::Method::kSimulate
+                                  : core::Method::kValidate;
+  return make_result_response(req.id,
+                              core::run(s, method).report.to_json_value());
 }
 
 util::json::Value Server::stats_json() const {

@@ -123,8 +123,9 @@ class Server {
   void connection_loop(Socket sock) HEPEX_EXCLUDES(active_mu_);
   void executor_loop() HEPEX_EXCLUDES(active_mu_);
   void watchdog_loop() HEPEX_EXCLUDES(active_mu_);
-  /// Handle one parsed request; returns the response payload.
+  /// Answer `ping` or `stats` inline; returns the response payload.
   std::string handle(const Request& req);
+  /// Run a scenario method (`method_runs_scenario`) on an executor.
   std::string dispatch_job(const Request& req);
 
   ServerConfig config_;

@@ -53,29 +53,7 @@ void fill_common(obs::RunReport& r, const cfg::Scenario& s,
   }
   if (opts.summary.is_object()) r.summary = opts.summary;
 
-  if (opts.host_wall_s > 0.0) {
-    r.has_host = true;
-    r.host_wall_s = opts.host_wall_s;
-    if (opts.metrics != nullptr) {
-      if (const obs::Counter* c =
-              opts.metrics->find_counter("sim.events_processed")) {
-        r.host_events_per_s =
-            static_cast<double>(c->value()) / opts.host_wall_s;
-      }
-    }
-    if (opts.host_profile && obs::Profiler::instance().enabled()) {
-      auto entries = obs::Profiler::instance().entries();
-      // entries() sorts by descending total; the artifact sorts by name
-      // so the bytes do not depend on host timing.
-      std::sort(entries.begin(), entries.end(),
-                [](const obs::Profiler::Entry& a,
-                   const obs::Profiler::Entry& b) { return a.name < b.name; });
-      for (const auto& e : entries) {
-        r.host_profile.push_back({e.name, static_cast<double>(e.calls),
-                                  e.total_s, e.max_s});
-      }
-    }
-  }
+  stamp_host(r, opts.host_wall_s, opts.metrics, opts.host_profile);
 }
 
 }  // namespace
@@ -154,6 +132,30 @@ obs::RunReport build_run_report(const cfg::Scenario& s,
     r.per_node.push_back(row);
   }
   return r;
+}
+
+void stamp_host(obs::RunReport& r, double host_wall_s,
+                const obs::Registry* metrics, bool profile) {
+  if (host_wall_s <= 0.0) return;
+  r.has_host = true;
+  r.host_wall_s = host_wall_s;
+  if (metrics != nullptr) {
+    if (const obs::Counter* c = metrics->find_counter("sim.events_processed")) {
+      r.host_events_per_s = static_cast<double>(c->value()) / host_wall_s;
+    }
+  }
+  if (profile && obs::Profiler::instance().enabled()) {
+    auto entries = obs::Profiler::instance().entries();
+    // entries() sorts by descending total; the artifact sorts by name so
+    // the bytes do not depend on host timing.
+    std::sort(entries.begin(), entries.end(),
+              [](const obs::Profiler::Entry& a,
+                 const obs::Profiler::Entry& b) { return a.name < b.name; });
+    for (const auto& e : entries) {
+      r.host_profile.push_back(
+          {e.name, static_cast<double>(e.calls), e.total_s, e.max_s});
+    }
+  }
 }
 
 }  // namespace hepex::trace

@@ -6,9 +6,8 @@
 /// the layer that knows how to fill one in — from a `cfg::Scenario` (the
 /// provenance half: canonical bytes, fingerprint, identity) and a
 /// `trace::Measurement` (the results half: totals, per-category and
-/// per-node attribution). The CLI and benches call these and then
-/// `save_file` the result; `hepex report check` re-runs the embedded
-/// scenario through the same builder to regenerate a candidate.
+/// per-node attribution). `core::run` calls these for the CLI, hepexd,
+/// `hepex report check` and the benches.
 ///
 /// The attribution regrouping (documented in run_report.hpp and
 /// docs/observability.md) maps EnergyBreakdown onto the six categories:
@@ -58,5 +57,11 @@ obs::RunReport build_run_report(const cfg::Scenario& s,
 obs::RunReport build_run_report(const cfg::Scenario& s,
                                 const Measurement& meas,
                                 const RunReportOptions& opts);
+
+/// Add the `host` section: host wall seconds, host event throughput (from
+/// `metrics`' `sim.events_processed`, when given) and the enabled
+/// Profiler's timers. No-op when `host_wall_s <= 0`.
+void stamp_host(obs::RunReport& r, double host_wall_s,
+                const obs::Registry* metrics, bool profile = true);
 
 }  // namespace hepex::trace

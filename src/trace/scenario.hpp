@@ -1,18 +1,11 @@
 #pragma once
 /// \file scenario.hpp
-/// \brief Scenario-driven entry points for the execution engine.
-///
-/// `cfg::Scenario` sits below trace in the library stack and carries the
-/// simulator knobs as plain data (`cfg::SimSettings`); these adapters
-/// turn a scenario into `SimOptions` and run it. Observability sinks and
-/// DVFS policies are *not* wired here — they are live objects owned by
-/// the caller (the CLI opens the files named in `Scenario::obs` and
-/// attaches the sinks itself).
-
-#include <vector>
+/// \brief The scenario-to-engine adapter: a scenario's simulator knobs
+///        (`cfg::SimSettings`, the fault plan) as `SimOptions`. Sinks and
+///        DVFS policies are live objects; `core::run` attaches the sinks
+///        a scenario asks for.
 
 #include "cfg/scenario.hpp"
-#include "trace/ensemble.hpp"
 #include "trace/execution_engine.hpp"
 
 namespace hepex::trace {
@@ -20,17 +13,13 @@ namespace hepex::trace {
 /// SimOptions for a scenario: chunk count, jitter, seed and — when the
 /// scenario carries a fault plan — a non-owning pointer to it. The
 /// returned options therefore must not outlive `s`.
-SimOptions sim_options_from_scenario(const cfg::Scenario& s);
-
-/// Execute the scenario's single-run configuration
-/// (`Scenario::single_config`). Equivalent to
-/// `simulate(s.machine, s.program, s.single_config(),
-///           sim_options_from_scenario(s))`.
-Measurement simulate(const cfg::Scenario& s);
-
-/// Run the scenario as a Monte-Carlo ensemble of `s.sim.replicas`
-/// replicas on up to `s.jobs` threads. With `replicas == 1` this is one
-/// seeded run in a vector. Bit-identical at any job count.
-std::vector<Measurement> simulate_ensemble(const cfg::Scenario& s);
+inline SimOptions sim_options_from_scenario(const cfg::Scenario& s) {
+  SimOptions options;
+  options.chunks_per_iteration = s.sim.chunks_per_iteration;
+  options.jitter_cv = s.sim.jitter_cv;
+  options.seed = s.sim.seed;
+  options.faults = s.faults ? &*s.faults : nullptr;
+  return options;
+}
 
 }  // namespace hepex::trace

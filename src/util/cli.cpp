@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/number.hpp"
 
 namespace hepex::util {
 
@@ -72,18 +73,14 @@ double CliArgs::get_double_or(const std::string& name,
                               double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(*v, &pos);
-    HEPEX_REQUIRE(pos == v->size(), "trailing characters in number");
-    return d;
-  } catch (const std::invalid_argument&) {
-    fail_require("flag --" + name + " expects a number, got '" + *v +
-                 "'");
-  } catch (const std::out_of_range&) {
-    fail_require("flag --" + name + " value out of range: '" + *v +
-                 "'");
+  const ReadDouble r = read_double(*v);
+  if (r.used != 0 && r.out_of_range) {
+    fail_require("flag --" + name + " value out of range: '" + *v + "'");
   }
+  if (r.used == 0 || r.used != v->size()) {
+    fail_require("flag --" + name + " expects a number, got '" + *v + "'");
+  }
+  return r.value;
 }
 
 int CliArgs::get_int_or(const std::string& name, int fallback) const {
@@ -110,19 +107,17 @@ namespace {
 /// returned with surrounding spaces trimmed for the caller to match.
 double split_magnitude(const std::string& text, const char* what,
                        std::string* suffix) {
-  double mag = 0.0;
-  std::size_t pos = 0;
-  try {
-    mag = std::stod(text, &pos);
-  } catch (const std::exception&) {
+  const ReadDouble r = read_double(text);
+  if (r.used == 0 || r.out_of_range) {
     fail_require(std::string("expected a ") + what + ", got '" + text +
                  "'");
   }
+  std::size_t pos = r.used;
   while (pos < text.size() && text[pos] == ' ') ++pos;
   std::size_t end = text.size();
   while (end > pos && text[end - 1] == ' ') --end;
   *suffix = text.substr(pos, end - pos);
-  return mag;
+  return r.value;
 }
 
 [[noreturn]] void bad_suffix(const std::string& text, const char* what,

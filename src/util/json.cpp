@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "util/error.hpp"
+#include "util/number.hpp"
 
 namespace hepex::util::json {
 
@@ -485,42 +486,11 @@ class Parser {
       if (peek() < '0' || peek() > '9') fail("digit expected in exponent");
       while (peek() >= '0' && peek() <= '9') ++pos_;
     }
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    double v = 0.0;
-    if (std::from_chars(first, last, v).ec == std::errc::result_out_of_range) {
-      if (!underflows(first, last)) fail("number out of double range");
-      v = *first == '-' ? -0.0 : 0.0;
-    }
-    return Value(v);
-  }
-
-  /// For a grammar-checked number `from_chars` rejected as out of range:
-  /// true when it is too small for a double (read as ±0, as strtod
-  /// always has) rather than too large. Out-of-range magnitudes lie below
-  /// 2.5e-324 or above 1.8e308, so the sign of the leading digit's decimal
-  /// exponent decides. Unlike a strtod fallback, this reads no locale.
-  static bool underflows(const char* p, const char* last) {
-    if (*p == '-') ++p;
-    long lead = 0;  // decimal exponent of the first non-zero digit
-    if (*p == '0') {
-      ++p;
-      if (p != last && *p == '.') {
-        for (++p; p != last && *p == '0'; ++p) --lead;
-      }
-      --lead;
-    } else {
-      for (++p; p != last && *p >= '0' && *p <= '9'; ++p) ++lead;
-    }
-    while (p != last && *p != 'e' && *p != 'E') ++p;
-    long exp = 0;
-    bool neg_exp = false;
-    if (p != last) {
-      ++p;
-      if (*p == '+' || *p == '-') neg_exp = *p++ == '-';
-      for (; p != last; ++p) exp = std::min(10 * exp + (*p - '0'), 1000000L);
-    }
-    return lead + (neg_exp ? -exp : exp) < 0;
+    // Below a double's range reads as ±0, as strtod always has.
+    const ReadDouble r =
+        read_double(std::string_view(text_).substr(start, pos_ - start));
+    if (r.out_of_range && r.value != 0.0) fail("number out of double range");
+    return Value(r.value);
   }
 
   const std::string& text_;

@@ -1,12 +1,13 @@
 #include "workload/synthetic.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
+#include "util/number.hpp"
 #include "util/rng.hpp"
 
 namespace hepex::workload {
@@ -26,30 +27,25 @@ void check_range(const std::string& context, const char* key, double v,
 
 double parse_axis_number(const std::string& context, const std::string& key,
                          const std::string& text) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin || *end != '\0' || !std::isfinite(v)) {
+  const util::ReadDouble r = util::read_double(text);
+  if (r.used == 0 || r.used != text.size() || !std::isfinite(r.value)) {
     fail_require(context + ": " + key + ": expected a finite number, got '" +
                  text + "'");
   }
-  return v;
+  return r.value;
 }
 
 std::uint64_t parse_seed(const std::string& context, const std::string& text) {
   if (text.empty()) fail_require(context + ": seed: empty value");
   std::uint64_t v = 0;
-  for (char ch : text) {
-    if (ch < '0' || ch > '9') {
-      fail_require(context + ": seed: expected an unsigned integer, got '" +
-                   text + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(ch - '0');
-    if (v > (UINT64_MAX - digit) / 10) {
-      fail_require(context + ": seed: value '" + text +
-                   "' overflows 64 bits");
-    }
-    v = v * 10 + digit;
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec == std::errc::result_out_of_range) {
+    fail_require(context + ": seed: value '" + text + "' overflows 64 bits");
+  }
+  if (ec != std::errc{} || end != last) {
+    fail_require(context + ": seed: expected an unsigned integer, got '" +
+                 text + "'");
   }
   return v;
 }

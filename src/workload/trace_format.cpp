@@ -1,13 +1,13 @@
 #include "workload/trace_format.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/number.hpp"
 #include "util/schemas.hpp"
 
 namespace hepex::workload {
@@ -75,21 +75,19 @@ class LineReader {
   /// A strict finite number (the whole token must parse).
   double number(const char* what) {
     const Token& t = take(what);
-    const char* begin = t.text.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || !std::isfinite(v)) {
+    const util::ReadDouble r = util::read_double(t.text);
+    if (r.used == 0 || r.used != t.text.size() || !std::isfinite(r.value)) {
       fail_parse(source_, line_, t.column,
                  std::string("expected a finite number for ") + what +
                      ", got '" + t.text + "'");
     }
-    return v;
+    return r.value;
   }
 
   /// A non-negative integer (repeat counts, iteration totals).
   long long integer(const char* what) {
-    const Token& t = take(what);
-    const double v = number_of(t, what);
+    const double v = number(what);
+    const Token& t = tokens_[next_ - 1];
     if (std::floor(v) != v || v < 0.0 || v > 9007199254740992.0 /* 2^53 */) {
       fail_parse(source_, line_, t.column,
                  std::string("expected a non-negative integer for ") + what +
@@ -116,18 +114,6 @@ class LineReader {
   const std::string& source() const { return source_; }
 
  private:
-  double number_of(const Token& t, const char* what) {
-    const char* begin = t.text.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || !std::isfinite(v)) {
-      fail_parse(source_, line_, t.column,
-                 std::string("expected a finite number for ") + what +
-                     ", got '" + t.text + "'");
-    }
-    return v;
-  }
-
   std::vector<Token> tokens_;
   std::size_t next_ = 0;
   const std::string& source_;

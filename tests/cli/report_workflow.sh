@@ -74,7 +74,19 @@ fi
   exit 1
 }
 
-# 5. A doctored baseline (results poked) must make check exit nonzero.
+# 5. A faults report whose plan comes from flags embeds that plan, so
+#    rerun mode replays the same degraded run from the artifact alone.
+"$hepex" faults --machine xeon --program SP --class S --n 4 --c 4 \
+  --f 1.8GHz --crash-node 1 --crash-at 0.05s --mode restart \
+  --ckpt-interval 0.02s --ckpt-write 0.001s --restart-cost 0.01s \
+  --report "$tmp/f.json" > /dev/null 2>&1
+"$hepex" report check "$tmp/f.json" --skip-host > "$tmp/fcheck.txt" 2>&1 || {
+  echo "FAIL: report check in rerun mode failed on a flag-layered faults report:" >&2
+  cat "$tmp/fcheck.txt" >&2
+  exit 1
+}
+
+# 6. A doctored baseline (results poked) must make check exit nonzero.
 sed 's/"energy_j": \([0-9]\)/"energy_j": 9\1/' "$tmp/a.json" \
   > "$tmp/bad.json"
 if "$hepex" report check "$tmp/bad.json" --against "$tmp/b.json" \

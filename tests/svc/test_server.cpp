@@ -14,11 +14,15 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "cfg/scenario.hpp"
+#include "core/run.hpp"
 #include "svc/client.hpp"
 #include "util/json.hpp"
 
@@ -154,6 +158,83 @@ TEST(Server, AdviseUsesTheAdvisorCacheAcrossRequests) {
   EXPECT_EQ(advisors->find("entries")->as_number(), 1.0);
   EXPECT_EQ(advisors->find("hits")->as_number(), 1.0);
   EXPECT_EQ(advisors->find("misses")->as_number(), 1.0);
+  server.stop();
+}
+
+TEST(Server, GridAdviseAnswersOneRowPerGridPoint) {
+  Server server(tcp_config());
+  server.start();
+  Client client = Client::connect_tcp_socket(server.port());
+  const Response r = client.call(make("g1", "advise", util::json::parse(R"({
+    "schema": "hepex-scenario/1",
+    "platform": {"preset": "xeon"},
+    "workload": {"class": "A",
+                 "grid": {"ai": [30, 120], "bpi": [0.6], "mi": [100],
+                          "seed": 7}}
+  })")));
+  ASSERT_TRUE(r.ok) << r.message;
+  const util::json::Value* summary = r.result.find("summary");
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->find("frontier"), nullptr);
+  ASSERT_NE(summary->find("grid_points"), nullptr);
+  EXPECT_EQ(summary->find("grid_points")->as_number(), 2.0);
+  const util::json::Value* grid = summary->find("grid");
+  ASSERT_NE(grid, nullptr);
+  ASSERT_EQ(grid->as_array().size(), 2u);
+  EXPECT_NE(grid->as_array()[0].find("signature")->as_string(),
+            grid->as_array()[1].find("signature")->as_string());
+  server.stop();
+}
+
+/// `examples/scenarios/xeon.json` with `workload.class` and `sweep`
+/// replaced (a null argument keeps the shipped value).
+util::json::Value xeon_scenario(const char* cls, const char* sweep) {
+  std::ifstream in(std::string(HEPEX_SOURCE_DIR) +
+                   "/examples/scenarios/xeon.json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  util::json::Value doc = util::json::parse(text.str());
+  if (cls != nullptr) {
+    util::json::Value workload = *doc.find("workload");
+    workload.set("class", cls);
+    doc.set("workload", std::move(workload));
+  }
+  if (sweep != nullptr) doc.set("sweep", util::json::parse(sweep));
+  return doc;
+}
+
+TEST(Server, RunMethodsAnswerWhatCoreRunBuilds) {
+  // Each run-method's result must be the report core::run builds under
+  // the daemon's overrides (no obs outputs, jobs 0, no host section), so
+  // no hand-built path can drift from the CLI's. simulate runs xeon.json
+  // at class S; advise and validate need a class above the class-W
+  // characterization baseline, so they keep its class A, and validate
+  // sweeps physical node counts only.
+  struct Case {
+    const char* method;
+    core::Method run_as;
+    util::json::Value scenario;
+  };
+  const Case cases[] = {
+      {"advise", core::Method::kAdvise, xeon_scenario(nullptr, nullptr)},
+      {"simulate", core::Method::kSimulate, xeon_scenario("S", nullptr)},
+      {"validate", core::Method::kValidate,
+       xeon_scenario(nullptr, R"({"nodes": [1, 2], "cores": [8]})")},
+  };
+  Server server(tcp_config());
+  server.start();
+  Client client = Client::connect_tcp_socket(server.port());
+  for (const Case& c : cases) {
+    const Response r = client.call(make(c.method, c.method, c.scenario));
+    ASSERT_TRUE(r.ok) << c.method << ": " << r.message;
+    cfg::Scenario s = cfg::load_scenario(c.scenario, "request.scenario");
+    s.obs = cfg::ObsSettings{};
+    s.jobs = 0;
+    EXPECT_EQ(util::json::dump_compact(r.result),
+              util::json::dump_compact(
+                  core::run(s, c.run_as).report.to_json_value()))
+        << c.method;
+  }
   server.stop();
 }
 

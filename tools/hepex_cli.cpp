@@ -39,7 +39,6 @@
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage/configuration error.
 
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -51,19 +50,14 @@
 #include "cfg/scenario.hpp"
 #include "core/hepex.hpp"
 #include "core/report.hpp"
+#include "core/run.hpp"
 #include "fault/plan.hpp"
 #include "hw/presets.hpp"
 #include "model/resilience.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
-#include "obs/registry.hpp"
-#include "obs/run_report.hpp"
-#include "obs/span_agg.hpp"
-#include "obs/trace_sink.hpp"
 #include "par/thread_pool.hpp"
-#include "trace/ensemble.hpp"
 #include "trace/run_report.hpp"
-#include "trace/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -71,7 +65,6 @@
 #include "util/table.hpp"
 #include "workload/programs.hpp"
 #include "workload/source.hpp"
-#include "workload/synthetic.hpp"
 #include "workload/trace_format.hpp"
 
 using namespace hepex;
@@ -163,16 +156,30 @@ q::Seconds duration_or(const util::CliArgs& args, const std::string& name,
   return v ? util::parse_duration(*v) : q::Seconds{fallback_s};
 }
 
-/// Host wall seconds since `t0` (the one host-time read RunReports make).
-double wall_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Write `report` to the scenario's `obs.report` path and say so.
-void write_report(const obs::RunReport& report, const std::string& path) {
-  report.save_file(path);
-  std::printf("report written: %s\n", path.c_str());
+/// Write the files the scenario's `obs` section names: the report (with
+/// the run's host wall time), the trace and the metrics snapshot. An
+/// unwritable trace or metrics path is a usage error (exit 2).
+void write_outputs(const cfg::Scenario& s, core::RunResult& res) {
+  if (!s.obs.report_path.empty()) {
+    trace::stamp_host(res.report, res.wall.value(), res.metrics.get());
+    res.report.save_file(s.obs.report_path);
+    std::printf("report written: %s\n", s.obs.report_path.c_str());
+  }
+  if (res.trace) {
+    if (!res.trace->write_file(s.obs.trace_path)) {
+      fail_require("cannot write trace to " + s.obs.trace_path);
+    }
+    std::printf("trace written: %s (%zu events; open in ui.perfetto.dev "
+                "or chrome://tracing)\n",
+                s.obs.trace_path.c_str(), res.trace->size());
+  }
+  if (res.metrics && !s.obs.metrics_path.empty()) {
+    std::ofstream out(s.obs.metrics_path);
+    if (!(out << res.metrics->to_json())) {
+      fail_require("cannot write metrics to " + s.obs.metrics_path);
+    }
+    std::printf("metrics written: %s\n", s.obs.metrics_path.c_str());
+  }
 }
 
 void print_points(const std::vector<pareto::ConfigPoint>& points) {
@@ -187,84 +194,41 @@ void print_points(const std::vector<pareto::ConfigPoint>& points) {
   std::printf("%s", t.to_text().c_str());
 }
 
-/// `hepex advise` over a synthetic grid: one Advisor per expanded
-/// signature point, one minimum-energy row each, plus the grid-wide
-/// optimum. A single scenario fans the whole sweep in one invocation.
+/// `hepex advise` over a synthetic grid: one min-energy row per expanded
+/// signature point, plus the grid-wide optimum.
 int advise_grid(const util::CliArgs& args, const cfg::Scenario& s) {
   if (args.has("deadline") || args.has("budget")) {
     fail_require(
         "--deadline/--budget apply to a single program, not a synthetic "
         "grid (drop workload.grid or the flag)");
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<workload::SyntheticSpec> points =
-      s.workload_grid->expand();
-  const std::vector<workload::ProgramSpec> programs = s.workload_programs();
   std::printf("advice for synthetic grid (%zu points, class %s) on %s:\n",
-              points.size(), workload::to_string(s.input).c_str(),
-              s.machine.name.c_str());
-
+              s.workload_grid->expand().size(),
+              workload::to_string(s.input).c_str(), s.machine.name.c_str());
+  core::RunResult res = core::run(s, core::Method::kAdvise);
   util::Table t({"signature", "program", "min-energy (n,c,f)", "time [s]",
                  "energy [kJ]"});
-  auto grid_report = util::json::Value::array();
-  std::size_t best_i = 0;
-  pareto::ConfigPoint best{};
-  bool have_best = false;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    cfg::Scenario sp = s;
-    sp.workload_grid.reset();
-    sp.program = programs[i];
-    core::Advisor advisor = core::Advisor::from_scenario(sp);
-    const auto frontier = advisor.frontier();
-    if (frontier.empty()) continue;
-    const pareto::ConfigPoint* min_e = &frontier.front();
-    for (const auto& p : frontier) {
-      if (p.energy_j < min_e->energy_j) min_e = &p;
-    }
-    const std::string ref = workload::synthetic_ref(points[i]);
-    t.add_row({ref, programs[i].name,
-               util::fmt_config(min_e->config.nodes, min_e->config.cores,
-                                min_e->config.f_hz.value() / 1e9),
-               util::fmt(min_e->time_s.value(), 2),
-               util::fmt(min_e->energy_j.value() / 1e3, 3)});
-    if (!have_best || min_e->energy_j < best.energy_j) {
-      have_best = true;
-      best = *min_e;
-      best_i = i;
-    }
-    if (!s.obs.report_path.empty()) {
-      auto pt = util::json::Value::object();
-      pt.set("signature", util::json::Value(ref));
-      pt.set("program", util::json::Value(programs[i].name));
-      pt.set("n", util::json::Value(min_e->config.nodes));
-      pt.set("c", util::json::Value(min_e->config.cores));
-      pt.set("f_ghz", util::json::Value(min_e->config.f_hz.value() / 1e9));
-      pt.set("time_s", util::json::Value(min_e->time_s.value()));
-      pt.set("energy_j", util::json::Value(min_e->energy_j.value()));
-      grid_report.push_back(std::move(pt));
-    }
+  const core::GridRow* best = nullptr;
+  for (const auto& row : res.grid) {
+    const pareto::ConfigPoint& p = row.min_energy;
+    t.add_row({row.signature, row.program,
+               util::fmt_config(p.config.nodes, p.config.cores,
+                                p.config.f_hz.value() / 1e9),
+               util::fmt(p.time_s.value(), 2),
+               util::fmt(p.energy_j.value() / 1e3, 3)});
+    if (best == nullptr || p.energy_j < best->min_energy.energy_j) best = &row;
   }
   std::printf("%s", t.to_text().c_str());
-  if (have_best) {
+  if (best != nullptr) {
+    const pareto::ConfigPoint& p = best->min_energy;
     std::printf("grid minimum energy: %s (%s) at %s (%.2f s, %.3f kJ)\n",
-                programs[best_i].name.c_str(),
-                workload::synthetic_ref(points[best_i]).c_str(),
-                util::fmt_config(best.config.nodes, best.config.cores,
-                                 best.config.f_hz.value() / 1e9)
+                best->program.c_str(), best->signature.c_str(),
+                util::fmt_config(p.config.nodes, p.config.cores,
+                                 p.config.f_hz.value() / 1e9)
                     .c_str(),
-                best.time_s.value(), best.energy_j.value() / 1e3);
+                p.time_s.value(), p.energy_j.value() / 1e3);
   }
-  if (!s.obs.report_path.empty()) {
-    trace::RunReportOptions ro;
-    ro.command = "advise";
-    ro.host_wall_s = wall_since(t0);
-    auto summary = util::json::Value::object();
-    summary.set("grid_points",
-                util::json::Value(static_cast<int>(points.size())));
-    summary.set("grid", std::move(grid_report));
-    ro.summary = std::move(summary);
-    write_report(trace::build_run_report(s, ro), s.obs.report_path);
-  }
+  write_outputs(s, res);
   return 0;
 }
 
@@ -273,45 +237,19 @@ int cmd_advise(const util::CliArgs& args) {
                        "report"});
   const cfg::Scenario s = scenario_from(args);
   if (s.workload_grid) return advise_grid(args, s);
-  const auto t0 = std::chrono::steady_clock::now();
   core::Advisor advisor = core::Advisor::from_scenario(s);
   std::printf("advice for %s (class %s) on %s:\n", s.program.name.c_str(),
               workload::to_string(s.input).c_str(), s.machine.name.c_str());
-  const auto frontier = advisor.frontier();
-  print_points(frontier);
-  if (!frontier.empty()) {
-    const pareto::ConfigPoint* best = &frontier.front();
-    for (const auto& p : frontier) {
-      if (p.energy_j < best->energy_j) best = &p;
-    }
+  core::RunResult res = core::run(s, core::Method::kAdvise, {&advisor, {}});
+  print_points(res.frontier);
+  if (const pareto::ConfigPoint* best = pareto::min_energy(res.frontier)) {
     std::printf("minimum energy: %s (%.2f s, %.3f kJ)\n",
                 util::fmt_config(best->config.nodes, best->config.cores,
                                  best->config.f_hz.value() / 1e9)
                     .c_str(),
                 best->time_s.value(), best->energy_j.value() / 1e3);
   }
-  if (!s.obs.report_path.empty()) {
-    trace::RunReportOptions ro;
-    ro.command = "advise";
-    ro.host_wall_s = wall_since(t0);
-    auto summary = util::json::Value::object();
-    summary.set("frontier_points",
-                util::json::Value(static_cast<int>(frontier.size())));
-    auto points = util::json::Value::array();
-    for (const auto& p : frontier) {
-      auto pt = util::json::Value::object();
-      pt.set("n", util::json::Value(p.config.nodes));
-      pt.set("c", util::json::Value(p.config.cores));
-      pt.set("f_ghz", util::json::Value(p.config.f_hz.value() / 1e9));
-      pt.set("time_s", util::json::Value(p.time_s.value()));
-      pt.set("energy_j", util::json::Value(p.energy_j.value()));
-      pt.set("ucr", util::json::Value(p.ucr));
-      points.push_back(std::move(pt));
-    }
-    summary.set("frontier", std::move(points));
-    ro.summary = std::move(summary);
-    write_report(trace::build_run_report(s, ro), s.obs.report_path);
-  }
+  write_outputs(s, res);
   if (args.has("deadline")) {
     const q::Seconds deadline = duration_or(args, "deadline", 0.0);
     if (const auto rec = advisor.for_deadline(deadline)) {
@@ -418,55 +356,11 @@ int cmd_recommend(const util::CliArgs& args) {
 /// — the shared back half of `simulate` and `trace replay`. `command`
 /// names the invocation in any RunReport written.
 int run_simulation(const cfg::Scenario& s, const char* command) {
+  core::RunResult res = core::run(s, core::Method::kSimulate);
+  res.report.command = command;
+  write_outputs(s, res);
+  const trace::Measurement& meas = *res.measurement;
   const hw::ClusterConfig run = s.single_config();
-
-  obs::TraceSink sink;
-  obs::Registry registry;
-  obs::SpanAggregator spans;
-  trace::SimOptions opt = trace::sim_options_from_scenario(s);
-  const bool want_report = !s.obs.report_path.empty();
-  if (!s.obs.trace_path.empty()) opt.trace = &sink;
-  // A report always embeds the metrics snapshot and span statistics, so
-  // asking for one attaches both (still zero-perturbation).
-  if (!s.obs.metrics_path.empty() || want_report) opt.metrics = &registry;
-  if (want_report) opt.spans = &spans;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto meas = trace::simulate(s.machine, s.program, run, opt);
-  const double wall_s = wall_since(t0);
-
-  if (want_report) {
-    trace::RunReportOptions ro;
-    ro.command = command;
-    ro.metrics = &registry;
-    ro.spans = &spans;
-    ro.host_wall_s = wall_s;
-    write_report(trace::build_run_report(s, meas, ro), s.obs.report_path);
-  }
-
-  if (!s.obs.trace_path.empty()) {
-    if (!sink.write_file(s.obs.trace_path)) {
-      std::fprintf(stderr, "error: cannot write trace to %s\n",
-                   s.obs.trace_path.c_str());
-      return 2;
-    }
-    std::printf("trace written: %s (%zu events; open in ui.perfetto.dev "
-                "or chrome://tracing)\n",
-                s.obs.trace_path.c_str(), sink.size());
-  }
-  if (!s.obs.metrics_path.empty()) {
-    std::FILE* f = std::fopen(s.obs.metrics_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                   s.obs.metrics_path.c_str());
-      return 2;
-    }
-    const std::string json = registry.to_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("metrics written: %s\n", s.obs.metrics_path.c_str());
-  }
-
   std::printf("measured %s on %s at %s:\n", s.program.name.c_str(),
               s.machine.name.c_str(),
               util::fmt_config(run.nodes, run.cores,
@@ -495,43 +389,23 @@ int cmd_simulate(const util::CliArgs& args) {
 int cmd_validate(const util::CliArgs& args) {
   require_flags(args, {"machine", "program", "class", "report"});
   const cfg::Scenario s = scenario_from(args);
-  const auto t0 = std::chrono::steady_clock::now();
-  core::ValidationReport report;
-  std::size_t n_configs = 0;
-  if (args.has("scenario")) {
-    // Scenario-driven: validate over the scenario's sweep space.
-    report = core::validate(s);
-    n_configs = s.sweep_configs().size();
-  } else {
-    const auto grid = core::validation_grid(s.machine, true);
-    n_configs = grid.size();
-    report = core::validate(s.machine, s.program, grid);
+  // Scenario-driven runs validate over the scenario's sweep space; flag
+  // runs over the paper's measured grid.
+  core::RunInputs in;
+  if (!args.has("scenario")) {
+    in.configs = core::validation_grid(s.machine, true);
   }
+  core::RunResult res = core::run(s, core::Method::kValidate, in);
+  const core::ValidationReport& report = *res.validation;
   std::printf("%s on %s over %zu configurations:\n", s.program.name.c_str(),
-              s.machine.name.c_str(), n_configs);
+              s.machine.name.c_str(), report.rows.size());
   std::printf("  time error  : mean %.1f%%  sd %.1f%%  max %.1f%%\n",
               report.time_error.mean(), report.time_error.stddev(),
               report.time_error.max());
   std::printf("  energy error: mean %.1f%%  sd %.1f%%  max %.1f%%\n",
               report.energy_error.mean(), report.energy_error.stddev(),
               report.energy_error.max());
-  if (!s.obs.report_path.empty()) {
-    trace::RunReportOptions ro;
-    ro.command = "validate";
-    ro.host_wall_s = wall_since(t0);
-    auto summary = util::json::Value::object();
-    summary.set("configs", util::json::Value(static_cast<int>(n_configs)));
-    summary.set("time_error_mean_pct",
-                util::json::Value(report.time_error.mean()));
-    summary.set("time_error_max_pct",
-                util::json::Value(report.time_error.max()));
-    summary.set("energy_error_mean_pct",
-                util::json::Value(report.energy_error.mean()));
-    summary.set("energy_error_max_pct",
-                util::json::Value(report.energy_error.max()));
-    ro.summary = std::move(summary);
-    write_report(trace::build_run_report(s, ro), s.obs.report_path);
-  }
+  write_outputs(s, res);
   return 0;
 }
 
@@ -661,8 +535,8 @@ int report_check(const util::CliArgs& args) {
       fail_require("baseline " + base_path +
                    " does not embed its scenario; pass --against FILE");
     }
-    cfg::Scenario s = cfg::load_scenario(
-        util::json::dump(baseline.scenario), base_path + ": scenario");
+    cfg::Scenario s =
+        cfg::load_scenario(baseline.scenario, base_path + ": scenario");
     // Jobs precedence matches scenario_from: an explicit --jobs beats the
     // width recorded in the baseline (CI runners with fewer cores than
     // the capture host must be able to pin the pool), and the override is
@@ -673,29 +547,19 @@ int report_check(const util::CliArgs& args) {
     } else if (s.jobs != 0) {
       par::set_default_jobs(s.jobs);
     }
-    obs::Registry registry;
-    obs::SpanAggregator spans;
-    trace::SimOptions opt = trace::sim_options_from_scenario(s);
-    opt.metrics = &registry;
-    opt.spans = &spans;
-    // Virtual-time results are identical across repeats; take the best
-    // host wall of three so the throughput gate resists scheduler noise.
-    trace::Measurement meas;
-    double best_wall_s = 0.0;
+    // The candidate is a report (so the run attaches a report's sinks).
+    // Virtual-time results are identical across repeats; the best host
+    // wall of three makes the throughput gate resist scheduler noise.
+    s.obs.report_path = base_path;
+    core::RunResult best;
     for (int rep = 0; rep < 3; ++rep) {
-      registry.clear();
-      spans = obs::SpanAggregator{};
-      const auto t0 = std::chrono::steady_clock::now();
-      meas = trace::simulate(s.machine, s.program, s.single_config(), opt);
-      const double wall_s = wall_since(t0);
-      if (rep == 0 || wall_s < best_wall_s) best_wall_s = wall_s;
+      core::RunResult res = core::run(s, core::Method::kSimulate);
+      if (rep == 0 || res.wall < best.wall) best = std::move(res);
     }
-    trace::RunReportOptions ro;
-    ro.command = baseline.command.empty() ? "simulate" : baseline.command;
-    ro.metrics = &registry;
-    ro.spans = &spans;
-    ro.host_wall_s = best_wall_s;
-    candidate = trace::build_run_report(s, meas, ro);
+    best.report.command =
+        baseline.command.empty() ? "simulate" : baseline.command;
+    trace::stamp_host(best.report, best.wall.value(), best.metrics.get());
+    candidate = std::move(best.report);
   }
 
   obs::CheckOptions copts;
@@ -1016,19 +880,20 @@ int cmd_faults(const util::CliArgs& args) {
                        "restart-cost", "ckpt-interval", "n", "c", "f", "mode",
                        "crash-node", "crash-at", "barrier-timeout", "spares",
                        "fault-seed", "replicas", "report"});
-  const cfg::Scenario s = scenario_from(args);
+  cfg::Scenario s = scenario_from(args);
 
   if (s.config.has_value()) {
-    const auto run = *s.config;
-    fault::Plan plan = s.faults ? *s.faults : fault::Plan{};
-    if (args.has("fault-seed")) {
+    // The fault flags layer onto the scenario's plan, so the report
+    // embeds the plan that actually ran.
+    const bool scenario_plan = s.faults.has_value();
+    fault::Plan& plan = scenario_plan ? *s.faults : s.faults.emplace();
+    if (!scenario_plan || args.has("fault-seed")) {
       plan.seed = static_cast<std::uint64_t>(args.get_int_or("fault-seed", 1));
-    } else if (!s.faults) {
-      plan.seed = 1;
     }
-    if (args.has("mtbf")) {
-      plan.random_failures.node_mtbf_s = duration_or(args, "mtbf", 0.0).value();
-    }
+    const auto seconds = [&args](const char* flag, double& to) {
+      if (const auto v = args.get(flag)) to = util::parse_duration(*v).value();
+    };
+    seconds("mtbf", plan.random_failures.node_mtbf_s);
     if (args.has("crash-node")) {
       plan.crashes.push_back(
           fault::NodeCrash{args.get_int_or("crash-node", 0),
@@ -1043,65 +908,29 @@ int cmd_faults(const util::CliArgs& args) {
         fail_require("--mode must be abort or restart");
       }
     }
-    if (args.has("ckpt-write")) {
-      plan.recovery.checkpoint_write_s =
-          duration_or(args, "ckpt-write", 1.0).value();
-    }
-    if (args.has("restart-cost")) {
-      plan.recovery.restart_s = duration_or(args, "restart-cost", 5.0).value();
-    }
-    if (args.has("ckpt-interval")) {
-      plan.recovery.checkpoint_interval_s =
-          duration_or(args, "ckpt-interval", 60.0).value();
-    }
-    if (args.has("barrier-timeout")) {
-      plan.recovery.barrier_timeout_s =
-          duration_or(args, "barrier-timeout", 30.0).value();
-    }
-    if (args.has("spares")) {
-      plan.recovery.spare_nodes = args.get_int_or("spares", 0);
-    }
+    seconds("ckpt-write", plan.recovery.checkpoint_write_s);
+    seconds("restart-cost", plan.recovery.restart_s);
+    seconds("ckpt-interval", plan.recovery.checkpoint_interval_s);
+    seconds("barrier-timeout", plan.recovery.barrier_timeout_s);
+    plan.recovery.spare_nodes =
+        args.get_int_or("spares", plan.recovery.spare_nodes);
     if (plan.empty()) {
       fail_require(
           "faults simulate mode needs --mtbf, --crash-node or a "
           "scenario fault plan");
     }
 
-    trace::SimOptions opt = trace::sim_options_from_scenario(s);
-    opt.faults = &plan;
-    const bool want_report = !s.obs.report_path.empty();
-
-    const int replicas = s.sim.replicas;
-    if (replicas > 1) {
+    const hw::ClusterConfig run = *s.config;
+    core::RunResult res = core::run(s, core::Method::kFaults);
+    write_outputs(s, res);
+    if (res.ensemble) {
       // Monte-Carlo ensemble: replicas differ only in derived seeds, so
       // the summary is reproducible run-to-run (and thread-count
       // independent; see docs/performance.md).
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto runs = trace::simulate_ensemble(
-          s.machine, s.program, run, opt, static_cast<std::size_t>(replicas));
-      const auto sum = trace::summarize_ensemble(runs);
-      if (want_report) {
-        trace::RunReportOptions ro;
-        ro.command = "faults";
-        ro.host_wall_s = wall_since(t0);
-        auto summary = util::json::Value::object();
-        summary.set("replicas", util::json::Value(replicas));
-        summary.set("completed",
-                    util::json::Value(static_cast<int>(sum.completed)));
-        summary.set("aborted",
-                    util::json::Value(static_cast<int>(sum.aborted)));
-        summary.set("time_mean_s", util::json::Value(sum.time_s.mean()));
-        summary.set("time_max_s", util::json::Value(sum.time_s.max()));
-        summary.set("energy_mean_j", util::json::Value(sum.energy_j.mean()));
-        summary.set("fault_time_mean_s",
-                    util::json::Value(sum.fault_time_s.mean()));
-        summary.set("crashes", util::json::Value(sum.crashes));
-        summary.set("recoveries", util::json::Value(sum.recoveries));
-        ro.summary = std::move(summary);
-        write_report(trace::build_run_report(s, ro), s.obs.report_path);
-      }
+      const trace::EnsembleSummary& sum = *res.ensemble;
       std::printf("simulated %d replicas of %s on %s at %s under faults:\n",
-                  replicas, s.program.name.c_str(), s.machine.name.c_str(),
+                  s.sim.replicas, s.program.name.c_str(),
+                  s.machine.name.c_str(),
                   util::fmt_config(run.nodes, run.cores,
                                    run.f_hz.value() / 1e9)
                       .c_str());
@@ -1118,22 +947,7 @@ int cmd_faults(const util::CliArgs& args) {
       return sum.aborted == 0 ? 0 : 1;
     }
 
-    obs::Registry registry;
-    obs::SpanAggregator spans;
-    if (want_report) {
-      opt.metrics = &registry;
-      opt.spans = &spans;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto meas = trace::simulate(s.machine, s.program, run, opt);
-    if (want_report) {
-      trace::RunReportOptions ro;
-      ro.command = "faults";
-      ro.metrics = &registry;
-      ro.spans = &spans;
-      ro.host_wall_s = wall_since(t0);
-      write_report(trace::build_run_report(s, meas, ro), s.obs.report_path);
-    }
+    const trace::Measurement& meas = *res.measurement;
     std::printf("simulated %s on %s at %s under faults:\n",
                 s.program.name.c_str(), s.machine.name.c_str(),
                 util::fmt_config(run.nodes, run.cores,
@@ -1166,11 +980,7 @@ int cmd_faults(const util::CliArgs& args) {
   }
 
   core::Advisor advisor = core::Advisor::from_scenario(s);
-  const auto& space = advisor.explore();
-  const pareto::ConfigPoint* base = &space.front();
-  for (const auto& pt : space) {
-    if (pt.energy_j < base->energy_j) base = &pt;
-  }
+  const pareto::ConfigPoint* base = pareto::min_energy(advisor.explore());
   const auto rec = advisor.recommend_resilient(spec);
   const auto pred = advisor.predict(rec.config);
   const auto oh = model::expected_fault_overhead(
