@@ -1,10 +1,13 @@
 #include "trace/execution_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -37,6 +40,64 @@ constexpr int kBarrierLane = 102;  // barrier waits + DVFS markers
 // A pseudo-process (pid = nodes) carries cluster-wide lanes.
 constexpr int kSwitchLane = 0;     // store-and-forward wire transfers
 constexpr int kIterationLane = 1;  // iteration phase spans
+// Table marker for the spans drawn on the lane of the core that ran them.
+constexpr int kCoreLane = -1;
+
+/// Every span the engine emits (docs/observability.md, span table).
+enum class Span : std::uint8_t {
+  kCompute, kMemStall, kDramService, kMsgStack, kWire, kBarrierWait,
+  kIteration, kRecovery, kCheckpoint, kStraggler, kCount
+};
+
+/// One span kind: its timeline name and category, its lane, and the
+/// SpanAggregator category it folds into. Spans of kClusterNode go on the
+/// cluster pseudo-process. A kind without a timeline name is folded but
+/// not drawn: a straggler's stretch already lies inside its compute span.
+struct SpanKind {
+  std::string_view name;
+  std::string_view category;
+  int lane;
+  std::string_view aggregate;
+};
+
+// Rows in Span order.
+constexpr std::array<SpanKind, static_cast<std::size_t>(Span::kCount)>
+    kSpanKinds = {{
+        {"compute", "cpu", kCoreLane, "compute"},
+        {"mem stall", "mem", kCoreLane, "memory"},
+        {"dram service", "mem", kMemLane, "mem.service"},
+        {"msg stack", "net", kStackLane, "network.stack"},
+        {"wire", "net", kSwitchLane, "network.wire"},
+        {"barrier wait", "sync", kBarrierLane, "barrier"},
+        {"iter N", "phase", kIterationLane, "iteration"},
+        {"recovery", "fault", kIterationLane, "fault"},
+        {"checkpoint", "fault", kIterationLane, "fault"},
+        {"", "", kCoreLane, "fault"},  // straggler: folded only
+    }};
+
+/// Every trace-only marker: an instant on a lane, and for frequency
+/// changes a sample of the node's "f [GHz]" counter.
+enum class Mark : std::uint8_t {
+  kCrash, kAbort, kThrottle, kDropRetx, kDvfs, kCount
+};
+
+struct MarkKind {
+  std::string_view name;
+  std::string_view category;
+  int lane;
+};
+
+// Rows in Mark order.
+constexpr std::array<MarkKind, static_cast<std::size_t>(Mark::kCount)>
+    kMarkKinds = {{
+        {"node crash", "fault", kBarrierLane},
+        {"abort", "fault", kIterationLane},
+        {"thermal throttle", "fault", kBarrierLane},
+        {"drop+retx", "fault", kSwitchLane},
+        {"dvfs", "dvfs", kBarrierLane},
+    }};
+
+constexpr int kClusterNode = obs::SpanAggregator::kClusterNode;
 
 /// Mutable state of one simulated run. Lives on the stack of simulate();
 /// event callbacks capture a pointer to it, and the event calendar drains
@@ -126,17 +187,11 @@ struct Run {
   obs::TraceSink* sink = nullptr;
   obs::Registry* reg = nullptr;
   obs::SpanAggregator* agg = nullptr;
-  // Cached category handles: the hot paths fold millions of spans, and a
-  // Recorder resolves the category map entry once instead of per span.
-  // Resolution stays lazy, so category order (and output) is unchanged.
-  obs::SpanAggregator::Recorder rec_compute;
-  obs::SpanAggregator::Recorder rec_memory;
-  obs::SpanAggregator::Recorder rec_fault;
-  obs::SpanAggregator::Recorder rec_barrier;
-  obs::SpanAggregator::Recorder rec_iteration;
-  obs::SpanAggregator::Recorder rec_mem_service;
-  obs::SpanAggregator::Recorder rec_net_stack;
-  obs::SpanAggregator::Recorder rec_net_wire;
+  // One cached category handle per span kind: the hot paths fold millions
+  // of spans, and a Recorder resolves the category map entry once instead
+  // of per span. Resolution stays lazy, so category order (and output) is
+  // first-record order.
+  std::array<obs::SpanAggregator::Recorder, kSpanKinds.size()> rec;
   obs::Histogram* h_mem_depth = nullptr;
   obs::Histogram* h_mem_wait = nullptr;
   obs::Histogram* h_barrier_wait = nullptr;
@@ -177,9 +232,7 @@ struct Run {
     sink = opt.trace;
     reg = opt.metrics;
     agg = opt.spans;
-    if (sink != nullptr || reg != nullptr || agg != nullptr) {
-      attach_observability();
-    }
+    attach_observability();
 
     // Steady-state calendar depth: every core can have one compute chunk
     // outstanding, plus per-node memory/stack completions and — on the
@@ -216,6 +269,36 @@ struct Run {
   }
   bool done() const { return iteration >= program.iterations; }
 
+  /// The one place a span leaves the engine: drawn on the timeline when a
+  /// TraceSink is attached, folded into the span statistics when a
+  /// SpanAggregator is. `node` is kClusterNode for cluster-wide spans;
+  /// `core` picks the lane of the core-lane kinds; `name`, when given,
+  /// replaces the table's timeline name (the iteration span's "iter N").
+  void span(Span kind, int node, sim::SimTime start, q::Seconds dur,
+            int core = 0, std::string_view name = {}) {
+    const auto k = static_cast<std::size_t>(kind);
+    const SpanKind& sk = kSpanKinds[k];
+    if (sink != nullptr && !sk.name.empty()) {
+      sink->complete(node == kClusterNode ? cluster_pid() : node,
+                     sk.lane == kCoreLane ? core : sk.lane,
+                     name.empty() ? sk.name : name, sk.category,
+                     start.value(), dur.value());
+    }
+    if (agg != nullptr) rec[k].record(node, dur.value());
+  }
+
+  /// A trace-only marker at `at`; frequency changes (`f` non-zero) also
+  /// sample the node's "f [GHz]" counter.
+  void mark(Mark kind, int node, sim::SimTime at, q::Hertz f = {}) {
+    if (sink == nullptr) return;
+    const MarkKind& mk = kMarkKinds[static_cast<std::size_t>(kind)];
+    const int pid = node == kClusterNode ? cluster_pid() : node;
+    sink->instant(pid, mk.lane, mk.name, mk.category, at.value());
+    if (f > q::Hertz{}) {
+      sink->counter(pid, "f [GHz]", at.value(), f.value() / 1e9);
+    }
+  }
+
   // ---- fault wiring ------------------------------------------------------
 
   /// Register the plan's crash sources on the calendar. Must run before
@@ -246,10 +329,7 @@ struct Run {
     if (aborted || done() || node_dead[static_cast<std::size_t>(node)]) return;
     node_dead[static_cast<std::size_t>(node)] = 1;
     ++fstats.crashes;
-    if (sink != nullptr) {
-      sink->instant(node, kBarrierLane, "node crash", "fault",
-                    sim.now().value());
-    }
+    mark(Mark::kCrash, node, sim.now());
     HEPEX_LOG_WARN("engine", "node crash",
                    {{"node", node},
                     {"t", sim.now().value()},
@@ -276,10 +356,7 @@ struct Run {
     aborted = true;
     ++epoch;
     finish_s = sim.now();
-    if (sink != nullptr) {
-      sink->instant(cluster_pid(), kIterationLane, "abort", "fault",
-                    sim.now().value());
-    }
+    mark(Mark::kAbort, kClusterNode, sim.now());
     HEPEX_LOG_WARN("engine", "run aborted",
                    {{"t", sim.now().value()}, {"iterations_done", iteration}});
   }
@@ -318,14 +395,7 @@ struct Run {
                                : q::Watts{};
     e_fault_j += rework * p_dyn;
 
-    if (sink != nullptr) {
-      sink->complete(cluster_pid(), kIterationLane, "recovery", "fault",
-                     detect.value(), (downtime + rework).value());
-    }
-    if (agg != nullptr) {
-      rec_fault.record(obs::SpanAggregator::kClusterNode,
-                       (downtime + rework).value());
-    }
+    span(Span::kRecovery, kClusterNode, detect, downtime + rework);
     HEPEX_LOG_WARN("engine", "checkpoint restart",
                    {{"t", detect.value()},
                     {"iter", iteration},
@@ -356,13 +426,7 @@ struct Run {
     t_fault_s += w;
     e_fault_j += cfg.nodes * machine.node.power.mem_active_w * w;
     last_checkpoint_s = sim.now() + w;
-    if (sink != nullptr) {
-      sink->complete(cluster_pid(), kIterationLane, "checkpoint", "fault",
-                     sim.now().value(), w.value());
-    }
-    if (agg != nullptr) {
-      rec_fault.record(obs::SpanAggregator::kClusterNode, w.value());
-    }
+    span(Span::kCheckpoint, kClusterNode, sim.now(), w);
     sim.schedule_on(cluster_shard(), w, [this, e = epoch] {
       if (aborted || e != epoch) return;
       begin_iteration();
@@ -393,11 +457,7 @@ struct Run {
         f = throttle_point(cap);
         any = true;
       }
-      if (f != f_node[ni] && sink != nullptr) {
-        sink->instant(node, kBarrierLane, "thermal throttle", "fault",
-                      sim.now().value());
-        sink->counter(node, "f [GHz]", sim.now().value(), f.value() / 1e9);
-      }
+      if (f != f_node[ni]) mark(Mark::kThrottle, node, sim.now(), f);
       f_node[ni] = f;
     }
     if (any) ++fstats.throttled_iterations;
@@ -406,19 +466,16 @@ struct Run {
   // ---- observability wiring ----------------------------------------------
 
   /// Name the timeline tracks, create the metric instruments, and attach
-  /// passive observers to the queueing resources. Nothing here (or in any
-  /// other obs hook) schedules events or consumes randomness, so the
-  /// simulated execution is bit-identical with or without it.
+  /// passive observers to the queueing resources; a run without sinks
+  /// attaches nothing. Nothing here (or in any other obs hook) schedules
+  /// events or consumes randomness, so the simulated execution is
+  /// bit-identical with or without it.
   void attach_observability() {
+    if (sink == nullptr && reg == nullptr && agg == nullptr) return;
     if (agg != nullptr) {
-      rec_compute = agg->recorder("compute");
-      rec_memory = agg->recorder("memory");
-      rec_fault = agg->recorder("fault");
-      rec_barrier = agg->recorder("barrier");
-      rec_iteration = agg->recorder("iteration");
-      rec_mem_service = agg->recorder("mem.service");
-      rec_net_stack = agg->recorder("network.stack");
-      rec_net_wire = agg->recorder("network.wire");
+      for (std::size_t k = 0; k < kSpanKinds.size(); ++k) {
+        rec[k] = agg->recorder(kSpanKinds[k].aggregate);
+      }
     }
     if (sink != nullptr) {
       for (int i = 0; i < cfg.nodes; ++i) {
@@ -451,13 +508,7 @@ struct Run {
       mem[static_cast<std::size_t>(i)]->set_observer(
           [this, i](const sim::Resource&,
                     const sim::Resource::JobObservation& jo) {
-            if (sink != nullptr) {
-              sink->complete(i, kMemLane, "dram service", "mem",
-                             jo.start_s.value(), jo.service_s.value());
-            }
-            if (agg != nullptr) {
-              rec_mem_service.record(i, jo.service_s.value());
-            }
+            span(Span::kDramService, i, jo.start_s, jo.service_s);
             if (h_mem_depth != nullptr) {
               h_mem_depth->observe(
                   static_cast<double>(jo.depth_at_arrival));
@@ -466,33 +517,16 @@ struct Run {
               h_mem_wait->observe(jo.waited_s.value());
             }
           });
-      if (sink != nullptr || agg != nullptr) {
-        stack[static_cast<std::size_t>(i)]->set_observer(
-            [this, i](const sim::Resource&,
-                      const sim::Resource::JobObservation& jo) {
-              if (sink != nullptr) {
-                sink->complete(i, kStackLane, "msg stack", "net",
-                               jo.start_s.value(), jo.service_s.value());
-              }
-              if (agg != nullptr) {
-                rec_net_stack.record(i, jo.service_s.value());
-              }
-            });
-      }
+      stack[static_cast<std::size_t>(i)]->set_observer(
+          [this, i](const sim::Resource&,
+                    const sim::Resource::JobObservation& jo) {
+            span(Span::kMsgStack, i, jo.start_s, jo.service_s);
+          });
     }
-    if (sink != nullptr || agg != nullptr) {
-      net->set_observer([this](const sim::Resource&,
-                               const sim::Resource::JobObservation& jo) {
-        if (sink != nullptr) {
-          sink->complete(cluster_pid(), kSwitchLane, "wire", "net",
-                         jo.start_s.value(), jo.service_s.value());
-        }
-        if (agg != nullptr) {
-          rec_net_wire.record(obs::SpanAggregator::kClusterNode,
-                              jo.service_s.value());
-        }
-      });
-    }
+    net->set_observer([this](const sim::Resource&,
+                             const sim::Resource::JobObservation& jo) {
+      span(Span::kWire, kClusterNode, jo.start_s, jo.service_s);
+    });
   }
 
   // ---- per-iteration setup ------------------------------------------------
@@ -632,7 +666,7 @@ struct Run {
         fstats.straggler_s += extra;
         e_fault_j += extra * machine.node.power.core.active_at(
                                  f_of(t.process), machine.node.dvfs);
-        if (agg != nullptr) rec_fault.record(t.process, extra.value());
+        span(Span::kStraggler, t.process, sim.now(), extra);
       }
     }
 
@@ -642,12 +676,9 @@ struct Run {
       Thread& th = threads[tid];
       if (is_dead(th.process)) return;
       touch(th.process);
-      if (sink != nullptr && eff_compute > q::Seconds{}) {
-        sink->complete_end(th.process, lane_of(tid), "compute", "cpu",
-                           sim.now().value(), eff_compute.value());
-      }
-      if (agg != nullptr && eff_compute > q::Seconds{}) {
-        rec_compute.record(th.process, eff_compute.value());
+      if (eff_compute > q::Seconds{}) {
+        span(Span::kCompute, th.process, sim.now() - eff_compute, eff_compute,
+             lane_of(tid));
       }
       if (th.mem_service_chunk_s <= q::Seconds{}) {
         thread_step(tid);
@@ -667,15 +698,10 @@ struct Run {
             counters.mem_stall_cycles += stall * f_of(th2.process);
             th2.credit_s = isa().memory_overlap * service;
             touch(th2.process);
-            if (sink != nullptr) {
-              // The core-side view of the same interval the memctl lane
-              // shows: queueing delay plus DRAM service.
-              sink->complete_end(th2.process, lane_of(tid), "mem stall",
-                                 "mem", sim.now().value(), stall.value());
-            }
-            if (agg != nullptr) {
-              rec_memory.record(th2.process, stall.value());
-            }
+            // The core-side view of the same interval the memctl lane
+            // shows: queueing delay plus DRAM service.
+            span(Span::kMemStall, th2.process, sim.now() - stall, stall,
+                 lane_of(tid));
             thread_step(tid);
           });
     });
@@ -757,10 +783,7 @@ struct Run {
           inj->drop_message(sim.now())) {
         ++fstats.messages_dropped;
         ++fstats.retransmits;
-        if (sink != nullptr) {
-          sink->instant(cluster_pid(), kSwitchLane, "drop+retx", "fault",
-                        sim.now().value());
-        }
+        mark(Mark::kDropRetx, kClusterNode, sim.now());
         const q::Seconds backoff =
             q::Seconds{inj->plan().retransmit_timeout_s} *
             static_cast<double>(1u << std::min(attempt, 20));
@@ -836,15 +859,8 @@ struct Run {
     iteration_s.add(iter_len.value());
     drain_s.add(std::max(q::Seconds{}, barrier_at - laggard_busy).value());
 
-    if (sink != nullptr) {
-      sink->complete(cluster_pid(), kIterationLane,
-                     "iter " + std::to_string(iteration), "phase",
-                     iteration_start_s.value(), iter_len.value());
-    }
-    if (agg != nullptr) {
-      rec_iteration.record(obs::SpanAggregator::kClusterNode,
-                  iter_len.value());
-    }
+    span(Span::kIteration, kClusterNode, iteration_start_s, iter_len, 0,
+         "iter " + std::to_string(iteration));
 
     for (int node = 0; node < cfg.nodes; ++node) {
       const auto ni = static_cast<std::size_t>(node);
@@ -878,11 +894,7 @@ struct Run {
       const q::Seconds wait = barrier_at - node_busy_until[ni];
       if (wait > q::Seconds{}) {
         node_usage[ni].barrier_s += wait;
-        if (sink != nullptr) {
-          sink->complete(node, kBarrierLane, "barrier wait", "sync",
-                         node_busy_until[ni].value(), wait.value());
-        }
-        if (agg != nullptr) rec_barrier.record(node, wait.value());
+        span(Span::kBarrierWait, node, node_busy_until[ni], wait);
         if (h_barrier_wait != nullptr) h_barrier_wait->observe(wait.value());
       }
 
@@ -891,12 +903,7 @@ struct Run {
         HEPEX_REQUIRE(dvfs.supports(next),
                       "DVFS policy returned a non-operating-point frequency");
         if (next != f) {
-          if (sink != nullptr) {
-            sink->instant(node, kBarrierLane, "dvfs", "dvfs",
-                          barrier_at.value());
-            sink->counter(node, "f [GHz]", barrier_at.value(),
-                          next.value() / 1e9);
-          }
+          mark(Mark::kDvfs, node, barrier_at, next);
           if (c_dvfs != nullptr) c_dvfs->inc();
           HEPEX_LOG_DEBUG("engine", "dvfs transition",
                           {{"node", node},
