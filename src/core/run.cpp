@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "core/advisor.hpp"
 #include "obs/span_agg.hpp"
@@ -117,16 +118,26 @@ void ensemble(const cfg::Scenario& s, RunResult& r, jn::Value& summary) {
 }
 
 /// Summary: the configuration count and the time/energy error statistics.
+/// Without `configs` the scenario's sweep runs; an unset `sweep.nodes`
+/// there means the machine's model node counts that it can measure
+/// directly (n <= nodes_available).
 void validate_sweep(const cfg::Scenario& s,
-                    const std::vector<hw::ClusterConfig>& configs,
-                    RunResult& r, jn::Value& summary) {
+                    std::vector<hw::ClusterConfig> configs, RunResult& r,
+                    jn::Value& summary) {
+  if (configs.empty()) {
+    configs = s.sweep_configs();
+    if (s.sweep.nodes.empty()) {
+      std::erase_if(configs, [&s](const hw::ClusterConfig& c) {
+        return c.nodes > s.machine.nodes_available;
+      });
+    }
+  }
   model::CharacterizationOptions options;
   options.sim.chunks_per_iteration = s.sim.chunks_per_iteration;
   options.sim.jitter_cv = s.sim.jitter_cv;
   options.sim.seed = s.sim.seed;
   const ValidationReport& v = r.validation.emplace(
-      validate(s.machine, s.program,
-               configs.empty() ? s.sweep_configs() : configs, options, s.jobs));
+      validate(s.machine, s.program, configs, options, s.jobs));
   summary.set("configs", static_cast<int>(v.rows.size()));
   summary.set("time_error_mean_pct", v.time_error.mean());
   summary.set("time_error_max_pct", v.time_error.max());

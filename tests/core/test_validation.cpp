@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "cfg/scenario.hpp"
+#include "core/run.hpp"
 #include "hw/presets.hpp"
 #include "workload/programs.hpp"
 
@@ -120,6 +122,28 @@ TEST(Validation, PredictionsFollowMeasuredTrends) {
     }
   }
   EXPECT_GT(static_cast<double>(agree) / total, 0.9);
+}
+
+// A scenario without `sweep.nodes` (examples/scenarios/xeon.json) validates
+// over the model node counts the machine can measure directly, the same 96
+// configurations as the paper's Xeon grid; an explicit node list is used
+// as written, so asking for unmeasurable nodes still fails.
+TEST(Validation, ScenarioWithoutSweepNodesMeasuresPhysicalNodes) {
+  const std::string doc =
+      R"({"schema": "hepex-scenario/1", "name": "paper-xeon-sp",
+          "platform": {"preset": "xeon"},
+          "workload": {"program": "SP", "class": "A"}})";
+  const cfg::Scenario s = cfg::load_scenario(doc, "xeon.json");
+  const RunResult r = run(s, Method::kValidate);
+  ASSERT_TRUE(r.validation.has_value());
+  EXPECT_EQ(r.validation->rows.size(), 96u);
+  for (const auto& row : r.validation->rows) {
+    EXPECT_LE(row.config.nodes, s.machine.nodes_available);
+  }
+
+  cfg::Scenario wide = s;
+  wide.sweep.nodes = {16};
+  EXPECT_THROW(run(wide, Method::kValidate), std::invalid_argument);
 }
 
 }  // namespace
