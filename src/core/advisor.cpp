@@ -74,10 +74,6 @@ const std::vector<pareto::ConfigPoint>& Advisor::frontier() {
   return *frontier_;
 }
 
-pareto::ConfigPoint Advisor::knee() {
-  return pareto::knee_point(frontier());
-}
-
 std::optional<Recommendation> Advisor::for_deadline(q::Seconds deadline_s) {
   const auto best = pareto::min_energy_within_deadline(explore(), deadline_s);
   if (!best) return std::nullopt;
@@ -144,17 +140,6 @@ std::vector<pareto::ConfigPoint> Advisor::split_alternatives(int total_cores,
                 "no l x tau split fits this machine's nodes");
   return pareto::sweep_model(characterization(), model::target_of(program_),
                              cfgs);
-}
-
-pareto::ConfigPoint Advisor::throttle_concurrency(int nodes, q::Hertz f_hz) {
-  HEPEX_REQUIRE(nodes >= 1, "need at least one node");
-  std::vector<hw::ClusterConfig> cfgs;
-  for (int c = 1; c <= machine_.node.cores; ++c) {
-    cfgs.push_back(hw::ClusterConfig{nodes, c, f_hz});
-  }
-  const auto points = pareto::sweep_model(
-      characterization(), model::target_of(program_), cfgs);
-  return *pareto::min_energy(points);
 }
 
 Advisor Advisor::with_memory_bandwidth(double factor) {

@@ -88,10 +88,6 @@ class Advisor {
   /// advisor's lifetime.
   const std::vector<pareto::ConfigPoint>& frontier();
 
-  /// The frontier's knee — the best time-energy trade-off when neither a
-  /// deadline nor a budget is given.
-  pareto::ConfigPoint knee();
-
   /// Minimum-energy configuration meeting an execution-time deadline.
   std::optional<Recommendation> for_deadline(q::Seconds deadline_s);
 
@@ -121,13 +117,6 @@ class Advisor {
   /// evaluated by the model. Splits use n = l nodes, c = tau cores.
   std::vector<pareto::ConfigPoint> split_alternatives(int total_cores,
                                                       q::Hertz f_hz);
-
-  /// Dynamic-concurrency-throttling analogue (the paper's §II-A): for a
-  /// fixed node count and frequency, the thread count tau <= c_max that
-  /// minimizes predicted energy. Using fewer threads than cores pays off
-  /// exactly when shared-memory contention dominates — the effect DCT
-  /// exploits at runtime.
-  pareto::ConfigPoint throttle_concurrency(int nodes, q::Hertz f_hz);
 
   /// System-designer what-ifs: a new Advisor whose characterization
   /// reflects the scaled component (the original is unchanged).

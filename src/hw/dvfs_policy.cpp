@@ -7,12 +7,6 @@
 
 namespace hepex::hw {
 
-q::Hertz FixedFrequencyPolicy::next_frequency(const SlackObservation& obs,
-                                              const DvfsRange& range) {
-  (void)range;
-  return obs.f_current_hz;
-}
-
 SlackStepPolicy::SlackStepPolicy(double margin, double up_threshold)
     : margin_(margin), up_threshold_(up_threshold) {
   HEPEX_REQUIRE(margin > 0.0 && margin <= 1.0, "margin must be in (0, 1]");
@@ -54,10 +48,6 @@ q::Hertz SlackStepPolicy::next_frequency(const SlackObservation& obs,
     return fs[idx + 1];
   }
   return fs[idx];
-}
-
-std::shared_ptr<DvfsPolicy> fixed_frequency_policy() {
-  return std::make_shared<FixedFrequencyPolicy>();
 }
 
 std::shared_ptr<DvfsPolicy> slack_step_policy(double margin,

@@ -43,13 +43,6 @@ class DvfsPolicy {
                                   const DvfsRange& range) = 0;
 };
 
-/// Keep the configured frequency forever (the default behaviour).
-class FixedFrequencyPolicy final : public DvfsPolicy {
- public:
-  q::Hertz next_frequency(const SlackObservation& obs,
-                          const DvfsRange& range) override;
-};
-
 /// Just-in-time slack reclamation (Kappiah et al., SC'05 style): a node
 /// steps one operating point down only when the *predicted* extra compute
 /// time of the slower point — busy_fraction * (f/f_down - 1) — fits
@@ -72,8 +65,7 @@ class SlackStepPolicy final : public DvfsPolicy {
   double up_threshold_;
 };
 
-/// Convenience factories.
-std::shared_ptr<DvfsPolicy> fixed_frequency_policy();
+/// Convenience factory.
 std::shared_ptr<DvfsPolicy> slack_step_policy(double margin = 0.8,
                                               double up_threshold = 0.02);
 

@@ -1,7 +1,5 @@
 #include "model/bounds.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace hepex::model {
@@ -12,59 +10,6 @@ double amdahl_speedup(double serial_fraction, int processors) {
   HEPEX_REQUIRE(processors >= 1, "need at least one processor");
   const double p = processors;
   return 1.0 / (serial_fraction + (1.0 - serial_fraction) / p);
-}
-
-double gustafson_speedup(double serial_fraction, int processors) {
-  HEPEX_REQUIRE(serial_fraction >= 0.0 && serial_fraction <= 1.0,
-                "serial fraction must be in [0, 1]");
-  HEPEX_REQUIRE(processors >= 1, "need at least one processor");
-  const double p = processors;
-  return p - serial_fraction * (p - 1.0);
-}
-
-double amdahl_energy_ratio(double serial_fraction, int processors,
-                           double idle_power_fraction) {
-  HEPEX_REQUIRE(idle_power_fraction >= 0.0 && idle_power_fraction <= 1.0,
-                "idle power fraction must be in [0, 1]");
-  HEPEX_REQUIRE(processors >= 1, "need at least one processor");
-  const double p = processors;
-  HEPEX_REQUIRE(serial_fraction >= 0.0 && serial_fraction <= 1.0,
-                "serial fraction must be in [0, 1]");
-  // During the serial phase 1 core is active and p-1 idle; during the
-  // parallel phase all p are active. Normalise by the 1-core run's
-  // energy (power 1 for time 1).
-  const double serial_time = serial_fraction;
-  const double parallel_time = (1.0 - serial_fraction) / p;
-  return serial_time * (1.0 + (p - 1.0) * idle_power_fraction) +
-         parallel_time * p;
-}
-
-q::JouleSeconds energy_delay_product(const Prediction& p) {
-  return p.energy_j * p.time_s;
-}
-
-q::JouleSecondsSq energy_delay_squared(const Prediction& p) {
-  return p.energy_j * p.time_s * p.time_s;
-}
-
-const Prediction& best_by_edp(const std::vector<Prediction>& predictions,
-                              double exponent) {
-  HEPEX_REQUIRE(!predictions.empty(), "need at least one prediction");
-  HEPEX_REQUIRE(exponent >= 0.0, "exponent must be non-negative");
-  const Prediction* best = &predictions.front();
-  // The exponent is a runtime value, so the score's dimension is not
-  // expressible as a static type — compare raw J*s^exponent magnitudes.
-  double best_score =
-      best->energy_j.value() * std::pow(best->time_s.value(), exponent);
-  for (const auto& p : predictions) {
-    const double score =
-        p.energy_j.value() * std::pow(p.time_s.value(), exponent);
-    if (score < best_score) {
-      best = &p;
-      best_score = score;
-    }
-  }
-  return *best;
 }
 
 }  // namespace hepex::model

@@ -1,43 +1,18 @@
 #pragma once
 /// \file bounds.hpp
-/// \brief First-principles speedup/energy bounds and derived metrics.
+/// \brief The Amdahl speedup bound.
 ///
 /// The paper's related work (§II-A) cites "simple and fundamental
 /// formulae that describe the interplay between program parallelism,
 /// speedup and energy consumption" (Cho & Melhem; Woo & Lee's
 /// energy-aware Amdahl extensions) and argues HEPEX's measurement-driven
-/// model is more accurate. These closed forms remain useful as sanity
-/// bounds and quick screens, so the library ships them alongside the
-/// model: every measured/predicted speedup should respect the Amdahl
-/// ceiling, and EDP-style figures of merit let users rank configurations
-/// with a single scalar when they lack a hard deadline or budget.
-
-#include "model/predictor.hpp"
+/// model is more accurate. The naive baseline model (model/naive.hpp)
+/// scales compute time by the Amdahl speedup, the one closed form the
+/// library keeps.
 
 namespace hepex::model {
 
 /// Amdahl speedup on p processors with serial fraction s (0 <= s <= 1).
 double amdahl_speedup(double serial_fraction, int processors);
-
-/// Gustafson (scaled) speedup on p processors with serial fraction s.
-double gustafson_speedup(double serial_fraction, int processors);
-
-/// Woo & Lee's energy scaling for Amdahl workloads: energy on p cores
-/// relative to one core, when idle cores draw `idle_power_fraction` of an
-/// active core's power. Less than 1 means the parallel run saves energy.
-double amdahl_energy_ratio(double serial_fraction, int processors,
-                           double idle_power_fraction);
-
-/// Energy-delay product E*T [J*s] — lower is better.
-q::JouleSeconds energy_delay_product(const Prediction& p);
-
-/// Energy-delay-squared product E*T^2 [J*s^2] — favours performance.
-q::JouleSecondsSq energy_delay_squared(const Prediction& p);
-
-/// The configuration minimizing a figure of merit over a set of
-/// predictions. `exponent` selects E*T^exponent (0 = min energy,
-/// 1 = EDP, 2 = ED^2P). Throws on an empty set.
-const Prediction& best_by_edp(const std::vector<Prediction>& predictions,
-                              double exponent = 1.0);
 
 }  // namespace hepex::model

@@ -50,13 +50,6 @@ double RunReport::attribution_energy_total() const {
   return total;
 }
 
-const RunReport::Category* RunReport::category(std::string_view name) const {
-  for (const Category& c : attribution) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
-}
-
 util::json::Value RunReport::to_json_value() const {
   jn::Value doc = jn::Value::object();
   doc.set("schema", jn::Value(kRunReportSchema));
@@ -147,13 +140,6 @@ util::json::Value RunReport::to_json_value() const {
   }
 
   return doc;
-}
-
-std::string RunReport::to_json() const { return jn::dump(to_json_value()); }
-
-RunReport RunReport::from_json(const std::string& text,
-                               const std::string& source) {
-  return from_json_value(jn::parse(text, source), source);
 }
 
 RunReport RunReport::from_json_value(const util::json::Value& doc,
@@ -302,7 +288,7 @@ RunReport RunReport::load_file(const std::string& path) {
   }
   std::ostringstream buf;
   buf << is.rdbuf();
-  return from_json(buf.str(), path);
+  return from_json_value(jn::parse(buf.str(), path), path);
 }
 
 void RunReport::save_file(const std::string& path) const {
@@ -311,7 +297,7 @@ void RunReport::save_file(const std::string& path) const {
     throw std::runtime_error("hepex: cannot open '" + path +
                              "' for writing");
   }
-  os << to_json();
+  os << jn::dump(to_json_value());
   if (!os) {
     throw std::runtime_error("hepex: write to '" + path + "' failed");
   }
@@ -458,9 +444,12 @@ CheckResult check_reports(const RunReport& baseline,
   }
 
   for (const RunReport::Category& bc : baseline.attribution) {
-    const RunReport::Category* cc = candidate.category(bc.name);
+    double candidate_j = 0.0;
+    for (const RunReport::Category& cc : candidate.attribution) {
+      if (cc.name == bc.name) candidate_j = cc.energy_j;
+    }
     gate_two_sided(res.items, "attribution.energy_j." + bc.name, bc.energy_j,
-                   cc != nullptr ? cc->energy_j : 0.0, opts.rtol);
+                   candidate_j, opts.rtol);
   }
 
   if (opts.check_host && baseline.has_host && candidate.has_host &&

@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -115,23 +114,20 @@ struct RunReport {
 
   /// Sum of the attribution categories' energy entries.
   double attribution_energy_total() const;
-  /// Lookup a category by name; nullptr when absent.
-  const Category* category(std::string_view name) const;
 
   /// Canonical JSON document (insertion-ordered, schema first).
   util::json::Value to_json_value() const;
-  /// `dump` of the canonical document: two-space indent, trailing newline.
-  std::string to_json() const;
 
-  /// Parse + schema-check. Throws std::invalid_argument with
-  /// `<source>: ...` on malformed documents or a schema mismatch.
-  static RunReport from_json(const std::string& text,
-                             const std::string& source = "report");
+  /// Schema-check and read a parsed document. Throws
+  /// std::invalid_argument with `<source>: ...` on a malformed document
+  /// or a schema mismatch.
   static RunReport from_json_value(const util::json::Value& doc,
                                    const std::string& source = "report");
 
-  /// File round trip. `load_file` throws std::runtime_error on I/O
-  /// failure; parse errors as in `from_json`.
+  /// File round trip; the file holds `util::json::dump` of the canonical
+  /// document (two-space indent, trailing newline). `load_file` throws
+  /// std::runtime_error on I/O failure; parse errors as in
+  /// `from_json_value`.
   static RunReport load_file(const std::string& path);
   void save_file(const std::string& path) const;
 };

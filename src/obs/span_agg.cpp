@@ -16,10 +16,6 @@ int SpanAggregator::bucket_of(double dur_s) {
   return std::clamp(idx, 0, kBuckets - 1);
 }
 
-void SpanAggregator::Stats::fold(double dur_s) {
-  fold(dur_s, bucket_of(dur_s));
-}
-
 void SpanAggregator::Stats::fold(double dur_s, int bucket) {
   if (count == 0) {
     min_s = dur_s;
@@ -31,22 +27,6 @@ void SpanAggregator::Stats::fold(double dur_s, int bucket) {
   ++count;
   total_s += dur_s;
   buckets[static_cast<std::size_t>(bucket)] += 1;
-}
-
-void SpanAggregator::Stats::merge(const Stats& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    min_s = other.min_s;
-    max_s = other.max_s;
-  } else {
-    min_s = std::min(min_s, other.min_s);
-    max_s = std::max(max_s, other.max_s);
-  }
-  count += other.count;
-  total_s += other.total_s;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    buckets[i] += other.buckets[i];
-  }
 }
 
 SpanAggregator::Category& SpanAggregator::category_slot(
@@ -69,36 +49,12 @@ void SpanAggregator::fold_into(Category& cat, int node, double dur_s) {
   }
 }
 
-void SpanAggregator::record(std::string_view category, int node,
-                            double dur_s) {
-  fold_into(category_slot(category), node, dur_s);
-}
-
 void SpanAggregator::Recorder::record(int node, double dur_s) {
   // Resolve on first record, not on construction: an unused recorder
   // must not register its category (category order is first-record
   // order, and empty categories must stay absent from snapshots).
   if (cat_ == nullptr) cat_ = &agg_->category_slot(category_);
   SpanAggregator::fold_into(*cat_, node, dur_s);
-}
-
-void SpanAggregator::merge(const SpanAggregator& other) {
-  for (const auto& name : other.order_) {
-    const Category& src = other.categories_.at(name);
-    auto it = categories_.find(name);
-    if (it == categories_.end()) {
-      order_.push_back(name);
-      it = categories_.emplace(name, Category{}).first;
-    }
-    Category& dst = it->second;
-    dst.total.merge(src.total);
-    if (dst.per_node.size() < src.per_node.size()) {
-      dst.per_node.resize(src.per_node.size());
-    }
-    for (std::size_t i = 0; i < src.per_node.size(); ++i) {
-      dst.per_node[i].merge(src.per_node[i]);
-    }
-  }
 }
 
 const SpanAggregator::Stats* SpanAggregator::find(
@@ -164,10 +120,6 @@ util::json::Value SpanAggregator::to_json_value() const {
     doc.set(name, std::move(cj));
   }
   return doc;
-}
-
-std::string SpanAggregator::to_json() const {
-  return util::json::dump(to_json_value());
 }
 
 }  // namespace hepex::obs

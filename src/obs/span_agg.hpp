@@ -16,8 +16,8 @@
 /// aggregator attached (pinned by tests/trace/test_determinism.cpp).
 ///
 /// Not thread-safe — like `TraceSink`, one aggregator observes one run.
-/// Ensemble replicas each get their own instance, merged afterwards in
-/// replica order (`merge` is deterministic: plain sums and bucket adds).
+/// Ensembles take no sinks (trace/ensemble.hpp), so no aggregator ever
+/// sees two runs.
 
 #include <array>
 #include <cstdint>
@@ -53,11 +53,9 @@ class SpanAggregator {
     double max_s = 0.0;  ///< largest observed duration; 0 when empty
     std::array<std::uint64_t, kBuckets> buckets{};
 
-    void fold(double dur_s);
-    /// Fold with the bucket precomputed (one bucket_of per span even
+    /// Fold one duration into `bucket` (computed once per span, even
     /// when the span folds into both the total and a per-node row).
     void fold(double dur_s, int bucket);
-    void merge(const Stats& other);
     double mean_s() const {
       return count > 0 ? total_s / static_cast<double>(count) : 0.0;
     }
@@ -68,22 +66,19 @@ class SpanAggregator {
   /// Durations <= 0 land in bucket 0.
   static int bucket_of(double dur_s);
 
-  /// Fold one span. `node` attributes the span to a per-node row;
-  /// pass kClusterNode for cluster-wide spans (iterations, recoveries)
-  /// that belong to no single node.
+  /// Node of the cluster-wide spans (iterations, recoveries) that belong
+  /// to no single node: they fold into the category total only.
   static constexpr int kClusterNode = -1;
-  void record(std::string_view category, int node, double dur_s);
 
-  /// A cached handle to one category, for hot loops that record the same
-  /// category millions of times: `record(category, ...)` pays a map
-  /// lookup per span, a Recorder resolves the category once on its first
-  /// record. Resolution is lazy on purpose — merely creating a Recorder
-  /// registers nothing, so category order (and hence output) still
-  /// reflects first-*record* order exactly as with `record()`.
+  /// The one way to fold spans: a handle to one category that resolves
+  /// the category map entry on its first record, not per span. Resolution
+  /// is lazy on purpose — merely creating a Recorder registers nothing,
+  /// so category order (and hence output) is first-*record* order.
   class Recorder {
    public:
     Recorder() = default;
-    /// Fold one span (see SpanAggregator::record).
+    /// Fold one span. `node` attributes it to a per-node row as well;
+    /// kClusterNode folds into the category total only.
     void record(int node, double dur_s);
 
    private:
@@ -100,11 +95,6 @@ class SpanAggregator {
   Recorder recorder(std::string_view category) {
     return Recorder(this, category);
   }
-
-  /// Fold another aggregator's statistics into this one (ensemble
-  /// merging). Categories unseen here adopt the other's order after the
-  /// existing ones; per-node vectors grow to the larger node count.
-  void merge(const SpanAggregator& other);
 
   /// Category-total statistics; nullptr when the category never fired.
   const Stats* find(std::string_view category) const;
@@ -126,7 +116,6 @@ class SpanAggregator {
   /// Empty buckets are omitted; `per_node` is omitted for categories
   /// recorded only against kClusterNode.
   util::json::Value to_json_value() const;
-  std::string to_json() const;
 
  private:
   struct Category {

@@ -57,20 +57,6 @@ std::optional<LabeledPoint> best_for_deadline(
   return best;
 }
 
-std::optional<LabeledPoint> best_for_budget(
-    const std::vector<MachineCandidate>& candidates, q::Joules budget_j) {
-  HEPEX_REQUIRE(budget_j > q::Joules{}, "budget must be positive");
-  std::optional<LabeledPoint> best;
-  for (const auto& c : candidates) {
-    const auto r = min_time_within_budget(c.points, budget_j);
-    if (!r) continue;
-    if (!best || r->time_s < best->point.time_s) {
-      best = LabeledPoint{c.name, *r};
-    }
-  }
-  return best;
-}
-
 std::optional<q::Seconds> crossover_deadline(const MachineCandidate& a,
                                              const MachineCandidate& b) {
   HEPEX_REQUIRE(!a.points.empty() && !b.points.empty(),

@@ -42,10 +42,6 @@ std::vector<LabeledPoint> combined_frontier(
 std::optional<LabeledPoint> best_for_deadline(
     const std::vector<MachineCandidate>& candidates, q::Seconds deadline_s);
 
-/// Minimum-time machine+configuration within `budget_j`.
-std::optional<LabeledPoint> best_for_budget(
-    const std::vector<MachineCandidate>& candidates, q::Joules budget_j);
-
 /// The deadline below which `a` wins (its best feasible energy beats
 /// `b`'s) and above which `b` wins. Returns nullopt when one machine
 /// dominates at every deadline. Deadlines are probed on a logarithmic

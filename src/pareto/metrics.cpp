@@ -1,23 +1,8 @@
 #include "pareto/metrics.hpp"
 
-#include <limits>
-
 #include "util/error.hpp"
 
 namespace hepex::pareto {
-
-double ucr(const model::Prediction& p) {
-  HEPEX_REQUIRE(p.time_s > q::Seconds{}, "prediction has zero time");
-  return p.t_cpu_s / p.time_s;
-}
-
-double ucr(const trace::Measurement& m) { return m.ucr(); }
-
-double ccr(const model::Prediction& p) {
-  const q::Seconds other = p.time_s - p.t_cpu_s;
-  if (other <= q::Seconds{}) return std::numeric_limits<double>::infinity();
-  return p.t_cpu_s / other;
-}
 
 TimeShares time_shares(const model::Prediction& p) {
   HEPEX_REQUIRE(p.time_s > q::Seconds{}, "prediction has zero time");

@@ -1,33 +1,19 @@
 #pragma once
 /// \file metrics.hpp
-/// \brief Useful Computation Ratio and related execution-efficiency metrics.
+/// \brief Where a predicted execution's wall time goes.
 ///
-/// The paper's §V-B introduces UCR = T_useful / T (Eq. 13): the fraction
-/// of wall time a configuration spends on useful (possibly overlapped)
-/// computation rather than memory contention, network contention or
-/// other data dependencies. Unlike the classic computation-to-
-/// communication ratio (CCR), UCR is normalized to [0, 1], which makes it
-/// comparable across configurations — its key property.
+/// The paper's §V-B introduces UCR = T_useful / T (Eq. 13; the model
+/// computes it as `model::Prediction::ucr`, a measurement as
+/// `trace::Measurement::ucr()`). `time_shares` splits the rest of T into
+/// memory and network shares, the breakdown that explains a UCR.
 ///
 /// UCR reads system balance, not efficiency: the paper shows Pareto-
 /// optimal configurations often have *low* UCR, so a high UCR must not be
 /// used to pick configurations (see `bench_fig10_ucr_xeon`).
 
 #include "model/predictor.hpp"
-#include "trace/measurement.hpp"
 
 namespace hepex::pareto {
-
-/// UCR of a model prediction: T_CPU / T. Always in (0, 1].
-double ucr(const model::Prediction& p);
-
-/// UCR of a direct measurement (simulated run).
-double ucr(const trace::Measurement& m);
-
-/// Classic computation-to-communication ratio: T_CPU / (T - T_CPU).
-/// Unbounded above — the reason the paper replaces it with UCR.
-/// Returns +inf when the run has no non-compute time.
-double ccr(const model::Prediction& p);
 
 /// Decomposition of where a predicted execution's wall time goes,
 /// normalized to fractions of T (sums to 1).

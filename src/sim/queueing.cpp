@@ -24,49 +24,4 @@ q::Seconds mg1_mean_wait(q::Hertz lambda, q::Seconds mean_service,
   return lambda * second_moment / (2.0 * (1.0 - rho));
 }
 
-q::Seconds mm1_mean_wait(q::Hertz lambda, q::Seconds mean_service) {
-  return mg1_mean_wait(lambda, mean_service,
-                       exponential_second_moment(mean_service));
-}
-
-q::Seconds md1_mean_wait(q::Hertz lambda, q::Seconds mean_service) {
-  return mg1_mean_wait(lambda, mean_service,
-                       deterministic_second_moment(mean_service));
-}
-
-double erlang_c(int servers, double offered_erlangs) {
-  HEPEX_REQUIRE(servers >= 1, "need at least one server");
-  HEPEX_REQUIRE(offered_erlangs >= 0.0, "offered load must be non-negative");
-  if (offered_erlangs >= static_cast<double>(servers)) return 1.0;
-  if (offered_erlangs == 0.0) return 0.0;
-  // Iterative Erlang-B, then convert to Erlang-C — numerically stable
-  // for large server counts.
-  double b = 1.0;
-  for (int k = 1; k <= servers; ++k) {
-    b = offered_erlangs * b / (static_cast<double>(k) + offered_erlangs * b);
-  }
-  const double rho = offered_erlangs / static_cast<double>(servers);
-  return b / (1.0 - rho + rho * b);
-}
-
-q::Seconds mmc_mean_wait(int servers, q::Hertz lambda,
-                         q::Seconds mean_service) {
-  HEPEX_REQUIRE(servers >= 1, "need at least one server");
-  const double offered = offered_load(lambda, mean_service);
-  if (offered >= static_cast<double>(servers)) {
-    return q::Seconds{std::numeric_limits<double>::infinity()};
-  }
-  if (lambda.value() == 0.0) return q::Seconds{};
-  const double pw = erlang_c(servers, offered);
-  return pw * mean_service / (static_cast<double>(servers) - offered);
-}
-
-q::SecondsSq deterministic_second_moment(q::Seconds mean_service) {
-  return mean_service * mean_service;
-}
-
-q::SecondsSq exponential_second_moment(q::Seconds mean_service) {
-  return 2.0 * mean_service * mean_service;
-}
-
 }  // namespace hepex::sim::queueing

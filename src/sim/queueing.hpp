@@ -1,12 +1,10 @@
 #pragma once
 /// \file queueing.hpp
-/// \brief Closed-form queueing formulas used by the analytical model.
+/// \brief The closed-form queueing formula the analytical model uses.
 ///
 /// The paper models network contention at the switch as an M/G/1 queue
-/// (Eq. 5). These helpers implement the Pollaczek–Khinchine mean-wait
-/// formula and the M/M/1 special case; the test suite also uses them as a
-/// theoretical reference to validate the event-driven `Resource` queue.
-/// Rates are `q::Hertz`, service times `q::Seconds` and second moments
+/// (Eq. 5), whose mean wait is the Pollaczek–Khinchine formula. Rates are
+/// `q::Hertz`, service times `q::Seconds` and second moments
 /// `q::SecondsSq`, so transposing lambda and E[S] — dimensionally inverse
 /// quantities — is a compile error rather than a subtly wrong wait.
 
@@ -25,29 +23,5 @@ double offered_load(q::Hertz lambda, q::Seconds mean_service);
 /// Returns +inf when the queue is unstable (rho >= 1).
 q::Seconds mg1_mean_wait(q::Hertz lambda, q::Seconds mean_service,
                          q::SecondsSq second_moment);
-
-/// M/M/1 mean waiting time: W = rho * E[S] / (1 - rho).
-q::Seconds mm1_mean_wait(q::Hertz lambda, q::Seconds mean_service);
-
-/// M/D/1 mean waiting time (deterministic service):
-///   W = rho * E[S] / (2 * (1 - rho)).
-q::Seconds md1_mean_wait(q::Hertz lambda, q::Seconds mean_service);
-
-/// Second moment of a deterministic service time: E[S^2] = E[S]^2.
-q::SecondsSq deterministic_second_moment(q::Seconds mean_service);
-
-/// Second moment of an exponential service time: E[S^2] = 2 E[S]^2.
-q::SecondsSq exponential_second_moment(q::Seconds mean_service);
-
-/// Erlang-C formula: probability that an arrival to an M/M/c queue has
-/// to wait. `offered_erlangs` = lambda * E[S]; requires
-/// offered < servers for stability (returns 1 otherwise).
-double erlang_c(int servers, double offered_erlangs);
-
-/// M/M/c mean waiting time:
-///   W = ErlangC / (c * mu - lambda), mu = 1 / E[S].
-/// Returns +inf when unstable. Generalises mm1_mean_wait (c = 1) and
-/// models multi-link switches / multi-channel memory controllers.
-q::Seconds mmc_mean_wait(int servers, q::Hertz lambda, q::Seconds mean_service);
 
 }  // namespace hepex::sim::queueing

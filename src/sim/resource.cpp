@@ -127,18 +127,4 @@ double Resource::utilization() const {
   return busy_time_ / (static_cast<double>(servers_) * elapsed);
 }
 
-Barrier::Barrier(int count, Release on_release)
-    : count_(count), on_release_(std::move(on_release)) {
-  HEPEX_REQUIRE(count >= 1, "barrier needs at least one party");
-}
-
-void Barrier::arrive() {
-  HEPEX_ASSERT(arrived_ < count_, "barrier overflow: too many arrivals");
-  if (++arrived_ == count_) {
-    arrived_ = 0;
-    ++rounds_;
-    if (on_release_) on_release_();
-  }
-}
-
 }  // namespace hepex::sim

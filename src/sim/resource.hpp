@@ -155,30 +155,4 @@ class Resource {
   Observer observer_;
 };
 
-/// Barrier: releases a callback when `count` parties have arrived, then
-/// resets for the next round. Models the per-iteration synchronisation of
-/// a hybrid program's threads/processes.
-class Barrier {
- public:
-  using Release = std::function<void()>;
-
-  /// \param count      parties per round (>= 1)
-  /// \param on_release invoked each time all parties have arrived
-  Barrier(int count, Release on_release);
-
-  /// Signal that one party reached the barrier.
-  void arrive();
-
-  /// Parties arrived in the current round.
-  int arrived() const { return arrived_; }
-  /// Completed rounds.
-  int rounds() const { return rounds_; }
-
- private:
-  int count_;
-  int arrived_ = 0;
-  int rounds_ = 0;
-  Release on_release_;
-};
-
 }  // namespace hepex::sim

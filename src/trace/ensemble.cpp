@@ -19,18 +19,7 @@ std::vector<Measurement> simulate_ensemble(const hw::MachineSpec& machine,
                                            std::size_t replicas, int jobs) {
   HEPEX_REQUIRE(!base.has_sinks(),
                 "shared observability sinks cannot be attached to an "
-                "ensemble; use the per-replica setup overload");
-  return simulate_ensemble(machine, program, config, base, replicas,
-                           ReplicaSetup{}, jobs);
-}
-
-std::vector<Measurement> simulate_ensemble(const hw::MachineSpec& machine,
-                                           const workload::ProgramSpec& program,
-                                           const hw::ClusterConfig& config,
-                                           const SimOptions& base,
-                                           std::size_t replicas,
-                                           const ReplicaSetup& setup,
-                                           int jobs) {
+                "ensemble");
   HEPEX_REQUIRE(replicas >= 1, "an ensemble needs at least one replica");
   std::vector<Measurement> out(replicas);
   par::parallel_for(
@@ -48,7 +37,6 @@ std::vector<Measurement> simulate_ensemble(const hw::MachineSpec& machine,
           plan.seed = replica_seed(base.faults->seed, i);
           opt.faults = &plan;
         }
-        if (setup) setup(i, opt);
         out[i] = simulate(machine, program, config, opt);
       },
       jobs);

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "trace/execution_engine.hpp"
@@ -31,14 +30,6 @@ namespace hepex::trace {
 /// not alias the base seed's original stream.
 std::uint64_t replica_seed(std::uint64_t base, std::size_t replica);
 
-/// Per-replica hook, called after default seeding and fault-plan cloning
-/// but before the run. `options` is the replica's private copy — use it
-/// to attach per-replica observability sinks or tweak the plan clone it
-/// points at. Do not point `options.trace` / `options.metrics` /
-/// `options.faults` at state shared between replicas.
-using ReplicaSetup = std::function<void(std::size_t replica,
-                                        SimOptions& options)>;
-
 /// Run `replicas` independent executions of (machine, program, config)
 /// on up to `jobs` threads (par::resolve_jobs semantics; 0 = configured
 /// default). Replica i runs with `seed = replica_seed(base.seed, i)` and,
@@ -46,23 +37,15 @@ using ReplicaSetup = std::function<void(std::size_t replica,
 /// `replica_seed(base.faults->seed, i)`. Results are in replica order and
 /// bit-identical at any job count.
 ///
-/// This overload requires `base.has_sinks()` to be false (sinks are
-/// single-consumer; sharing one across replicas would race) — use the
-/// `setup` overload to attach per-replica sinks.
+/// `base.has_sinks()` must be false: sinks are single-consumer, and
+/// sharing one across replicas would race. A replica's own sinks attach
+/// to a plain `simulate` with the replica's seeds; the measurement is the
+/// same bit for bit.
 std::vector<Measurement> simulate_ensemble(const hw::MachineSpec& machine,
                                            const workload::ProgramSpec& program,
                                            const hw::ClusterConfig& config,
                                            const SimOptions& base,
                                            std::size_t replicas, int jobs = 0);
-
-/// As above, with a per-replica customization hook.
-std::vector<Measurement> simulate_ensemble(const hw::MachineSpec& machine,
-                                           const workload::ProgramSpec& program,
-                                           const hw::ClusterConfig& config,
-                                           const SimOptions& base,
-                                           std::size_t replicas,
-                                           const ReplicaSetup& setup,
-                                           int jobs = 0);
 
 /// Aggregate view of an ensemble for reports and the CLI.
 struct EnsembleSummary {

@@ -30,8 +30,4 @@ MeterReading PowerMeter::read(const Measurement& m) {
   return r;
 }
 
-MeterReading PowerMeter::read_exact(const Measurement& m) {
-  return MeterReading{m.time_s, m.energy.total()};
-}
-
 }  // namespace hepex::trace

@@ -38,9 +38,6 @@ class PowerMeter {
   /// sigma `meter_offset_sigma_w` per node, and 1 Hz sampling quantisation.
   MeterReading read(const Measurement& m);
 
-  /// Observe with noise disabled (exact integration) — useful in tests.
-  static MeterReading read_exact(const Measurement& m);
-
  private:
   hw::MachineSpec machine_;
   util::Rng rng_;

@@ -14,11 +14,6 @@ double ProgramSpec::working_set_per_process(int n) const {
   return compute.working_set_bytes / static_cast<double>(n) * ghost;
 }
 
-double ProgramSpec::working_set_per_thread(int n, int c) const {
-  HEPEX_REQUIRE(c >= 1, "need at least one thread");
-  return working_set_per_process(n) / static_cast<double>(c);
-}
-
 namespace {
 bool finite_nonneg(double x) { return std::isfinite(x) && x >= 0.0; }
 }  // namespace

@@ -89,10 +89,6 @@ struct ProgramSpec {
   /// Per-process working set when the domain is split across n processes.
   double working_set_per_process(int n) const;
 
-  /// Per-thread slice of the process working set at c threads (used for
-  /// the private-cache term of the cache model).
-  double working_set_per_thread(int n, int c) const;
-
   /// Check every demand parameter is finite and in range (iterations >= 1,
   /// non-negative traffic/working set, serial fraction and imbalances in
   /// [0, 1), positive CPI factor). The execution engine validates specs on

@@ -67,8 +67,9 @@ TEST(Advisor, ExploreAndFrontierAreCachedAcrossCalls) {
 
 TEST(Advisor, KneeLiesOnTheCachedFrontier) {
   Advisor a = make_advisor();
-  const auto knee1 = a.knee();
-  const auto knee2 = a.knee();  // repeat query, served from cache
+  const auto knee1 = pareto::knee_point(a.frontier());
+  // repeat query, served from the cached frontier
+  const auto knee2 = pareto::knee_point(a.frontier());
   EXPECT_EQ(knee1.config, knee2.config);
   EXPECT_EQ(knee1.time_s.value(), knee2.time_s.value());
   const auto& frontier = a.frontier();
@@ -172,24 +173,9 @@ TEST(Advisor, SplitChoiceMatters) {
   EXPECT_GT(t_max / t_min, 1.05);
 }
 
-TEST(Advisor, ThrottleConcurrencyPicksMinimumEnergyThreadCount) {
-  Advisor a = make_advisor();
-  const auto best = a.throttle_concurrency(1, q::Hertz{1.8e9});
-  EXPECT_EQ(best.config.nodes, 1);
-  EXPECT_GE(best.config.cores, 1);
-  EXPECT_LE(best.config.cores, 8);
-  // Optimality among all thread counts at the same (n, f).
-  for (int c = 1; c <= 8; ++c) {
-    EXPECT_LE(best.energy_j,
-              a.predict({1, c, q::Hertz{1.8e9}}).energy_j + q::Joules{1e-9});
-  }
-  EXPECT_THROW(a.throttle_concurrency(0, q::Hertz{1.8e9}),
-               std::invalid_argument);
-}
-
 TEST(Advisor, KneeLiesOnTheFrontier) {
   Advisor a = make_advisor();
-  const auto knee = a.knee();
+  const auto knee = pareto::knee_point(a.frontier());
   bool member = false;
   for (const auto& p : a.frontier()) {
     member |= (p.config == knee.config);

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "hw/presets.hpp"
+#include "obs/registry.hpp"
 #include "trace/execution_engine.hpp"
 #include "workload/programs.hpp"
 
@@ -23,17 +25,6 @@ SlackObservation obs_at(q::Hertz f, double busy, double slack,
   o.busy_fraction = busy;
   o.slack_fraction = slack;
   return o;
-}
-
-TEST(FixedFrequencyPolicy, NeverChanges) {
-  FixedFrequencyPolicy p;
-  const DvfsRange r = xeon_range();
-  for (q::Hertz f : r.frequencies_hz) {
-    EXPECT_DOUBLE_EQ(p.next_frequency(obs_at(f, 0.1, 0.9), r).value(),
-                     f.value());
-    EXPECT_DOUBLE_EQ(p.next_frequency(obs_at(f, 0.9, 0.0), r).value(),
-                     f.value());
-  }
 }
 
 TEST(SlackStepPolicy, RejectsBadParameters) {
@@ -95,12 +86,34 @@ workload::ProgramSpec imbalanced_cp() {
   return p;
 }
 
+/// A policy that always keeps the current frequency.
+class HoldPolicy final : public DvfsPolicy {
+ public:
+  q::Hertz next_frequency(const SlackObservation& obs,
+                          const DvfsRange&) override {
+    return obs.f_current_hz;
+  }
+};
+
+// Without a policy the engine keeps every node at the configured
+// frequency: no transitions even where a slack policy would step down.
+TEST(FixedFrequencyPolicy, NeverChanges) {
+  obs::Registry reg;
+  trace::SimOptions opt;
+  opt.metrics = &reg;
+  const auto meas = trace::simulate(xeon_cluster(), imbalanced_cp(),
+                                    {4, 4, q::Hertz{1.8e9}}, opt);
+  EXPECT_EQ(meas.avg_frequency_hz, q::Hertz{1.8e9});
+  ASSERT_NE(reg.find_counter("dvfs.transitions"), nullptr);
+  EXPECT_EQ(reg.find_counter("dvfs.transitions")->value(), 0u);
+}
+
 TEST(DvfsIntegration, FixedPolicyMatchesNoPolicy) {
   const auto m = xeon_cluster();
   const auto p = imbalanced_cp();
   const ClusterConfig cfg{4, 4, q::Hertz{1.8e9}};
   trace::SimOptions none, fixed;
-  fixed.dvfs_policy = fixed_frequency_policy();
+  fixed.dvfs_policy = std::make_shared<HoldPolicy>();
   const auto a = trace::simulate(m, p, cfg, none);
   const auto b = trace::simulate(m, p, cfg, fixed);
   EXPECT_DOUBLE_EQ(a.time_s.value(), b.time_s.value());

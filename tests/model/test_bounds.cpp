@@ -1,4 +1,4 @@
-// Tests for the Amdahl/Gustafson/EDP analytical helpers.
+// Tests for the Amdahl speedup bound.
 
 #include "model/bounds.hpp"
 
@@ -8,13 +8,6 @@
 
 namespace hepex::model {
 namespace {
-
-Prediction pred(double t, double e) {
-  Prediction p;
-  p.time_s = q::Seconds{t};
-  p.energy_j = q::Joules{e};
-  return p;
-}
 
 TEST(Amdahl, KnownValues) {
   EXPECT_DOUBLE_EQ(amdahl_speedup(0.0, 8), 8.0);
@@ -28,57 +21,6 @@ TEST(Amdahl, RejectsBadArguments) {
   EXPECT_THROW(amdahl_speedup(-0.1, 4), std::invalid_argument);
   EXPECT_THROW(amdahl_speedup(1.1, 4), std::invalid_argument);
   EXPECT_THROW(amdahl_speedup(0.1, 0), std::invalid_argument);
-}
-
-TEST(Gustafson, KnownValues) {
-  EXPECT_DOUBLE_EQ(gustafson_speedup(0.0, 16), 16.0);
-  EXPECT_DOUBLE_EQ(gustafson_speedup(1.0, 16), 1.0);
-  EXPECT_DOUBLE_EQ(gustafson_speedup(0.25, 4), 4.0 - 0.25 * 3.0);
-}
-
-TEST(Gustafson, AlwaysAtLeastAmdahl) {
-  for (double s : {0.01, 0.1, 0.3, 0.6}) {
-    for (int p : {2, 4, 16, 64}) {
-      EXPECT_GE(gustafson_speedup(s, p), amdahl_speedup(s, p));
-    }
-  }
-}
-
-TEST(AmdahlEnergy, FullyParallelWorkloadIsEnergyNeutral) {
-  // s = 0: all p cores active for 1/p time -> same energy as serial.
-  EXPECT_NEAR(amdahl_energy_ratio(0.0, 8, 0.3), 1.0, 1e-12);
-}
-
-TEST(AmdahlEnergy, SerialWorkloadPaysIdleCores) {
-  // s = 1: one core computes for the full time while p-1 idle.
-  EXPECT_NEAR(amdahl_energy_ratio(1.0, 4, 0.5), 1.0 + 3 * 0.5, 1e-12);
-}
-
-TEST(AmdahlEnergy, EnergyGrowsWithSerialFraction) {
-  double prev = 0.0;
-  for (double s : {0.0, 0.1, 0.3, 0.5, 0.9}) {
-    const double e = amdahl_energy_ratio(s, 8, 0.4);
-    EXPECT_GT(e, prev - 1e-12);
-    prev = e;
-  }
-}
-
-TEST(Edp, ProductsAndRanking) {
-  const Prediction a = pred(2.0, 10.0);   // EDP 20, ED2P 40
-  const Prediction b = pred(4.0, 4.0);    // EDP 16, ED2P 64
-  EXPECT_DOUBLE_EQ(energy_delay_product(a).value(), 20.0);
-  EXPECT_DOUBLE_EQ(energy_delay_squared(a).value(), 40.0);
-
-  const std::vector<Prediction> set{a, b};
-  // EDP prefers b; ED2P prefers a; pure energy prefers b.
-  EXPECT_DOUBLE_EQ(best_by_edp(set, 1.0).time_s.value(), 4.0);
-  EXPECT_DOUBLE_EQ(best_by_edp(set, 2.0).time_s.value(), 2.0);
-  EXPECT_DOUBLE_EQ(best_by_edp(set, 0.0).time_s.value(), 4.0);
-}
-
-TEST(Edp, EmptySetThrows) {
-  EXPECT_THROW(best_by_edp({}, 1.0), std::invalid_argument);
-  EXPECT_THROW(best_by_edp({pred(1, 1)}, -1.0), std::invalid_argument);
 }
 
 }  // namespace

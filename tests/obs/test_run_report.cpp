@@ -10,11 +10,33 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/json.hpp"
+
 namespace hepex {
 namespace {
 
 using obs::CheckOptions;
 using obs::RunReport;
+
+/// The canonical bytes `save_file` writes.
+std::string text_of(const RunReport& r) {
+  return util::json::dump(r.to_json_value());
+}
+
+/// What `load_file` does with a file's bytes.
+RunReport parse_report(const std::string& text,
+                       const std::string& source = "report") {
+  return RunReport::from_json_value(util::json::parse(text, source), source);
+}
+
+/// The attribution category `name`; nullptr when absent.
+const RunReport::Category* find_category(const RunReport& r,
+                                         const std::string& name) {
+  for (const RunReport::Category& c : r.attribution) {
+    if (c.name == name) return &c;
+  }
+  return nullptr;
+}
 
 /// A small but fully-populated report (no host section).
 RunReport sample() {
@@ -70,7 +92,7 @@ TEST(RunReport, CanonicalBytesArePinned) {
   r.events_per_virtual_s = 50.0;
   r.outcome = "completed";
   r.attribution = {{"compute", 7.5, 1.0}, {"idle", 2.5, 1.5}};
-  EXPECT_EQ(r.to_json(),
+  EXPECT_EQ(text_of(r),
             "{\n"
             "  \"schema\": \"hepex-run-report/1\",\n"
             "  \"command\": \"simulate\",\n"
@@ -108,14 +130,14 @@ TEST(RunReport, CanonicalBytesArePinned) {
 
 TEST(RunReport, JsonRoundTripIsBitIdentical) {
   const RunReport r = sample();
-  const std::string once = r.to_json();
-  const std::string twice = RunReport::from_json(once).to_json();
+  const std::string once = text_of(r);
+  const std::string twice = text_of(parse_report(once));
   EXPECT_EQ(once, twice);
 }
 
 TEST(RunReport, RoundTripPreservesEveryField) {
   const RunReport a = sample();
-  const RunReport b = RunReport::from_json(a.to_json());
+  const RunReport b = parse_report(text_of(a));
   EXPECT_EQ(b.command, "simulate");
   EXPECT_EQ(b.name, "sample");
   EXPECT_EQ(b.scenario_fingerprint, a.scenario_fingerprint);
@@ -136,23 +158,23 @@ TEST(RunReport, RoundTripPreservesEveryField) {
   EXPECT_FALSE(b.has_host);
   // The derived "total" key is not mistaken for a seventh category.
   EXPECT_DOUBLE_EQ(b.attribution_energy_total(), 100.0);
-  EXPECT_EQ(b.category("total"), nullptr);
-  ASSERT_NE(b.category("memory"), nullptr);
-  EXPECT_DOUBLE_EQ(b.category("memory")->energy_j, 10.0);
+  EXPECT_EQ(find_category(b, "total"), nullptr);
+  ASSERT_NE(find_category(b, "memory"), nullptr);
+  EXPECT_DOUBLE_EQ(find_category(b, "memory")->energy_j, 10.0);
 }
 
 TEST(RunReport, SchemaMismatchThrowsWithSource) {
   try {
-    (void)RunReport::from_json("{\"schema\": \"hepex-run-report/999\"}",
-                               "base.json");
+    (void)parse_report("{\"schema\": \"hepex-run-report/999\"}",
+                       "base.json");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("base.json"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("hepex-run-report/999"),
               std::string::npos);
   }
-  EXPECT_THROW((void)RunReport::from_json("{}"), std::invalid_argument);
-  EXPECT_THROW((void)RunReport::from_json("not json"), std::invalid_argument);
+  EXPECT_THROW((void)parse_report("{}"), std::invalid_argument);
+  EXPECT_THROW((void)parse_report("not json"), std::invalid_argument);
 }
 
 TEST(RunReportDiff, IdenticalReportsHaveNoDeltas) {

@@ -1,5 +1,5 @@
-// Tests for the streaming span aggregator: folding, log-bucketing,
-// merging and the JSON snapshot shape.
+// Tests for the streaming span aggregator: folding through recorders,
+// log-bucketing and the JSON snapshot shape.
 
 #include "obs/span_agg.hpp"
 
@@ -9,6 +9,7 @@
 #include <string>
 
 #include "mini_json.hpp"
+#include "util/json.hpp"
 
 namespace hepex {
 namespace {
@@ -25,9 +26,9 @@ TEST(SpanAgg, StartsEmpty) {
 
 TEST(SpanAgg, FoldsCountTotalMinMax) {
   SpanAggregator agg;
-  agg.record("compute", 0, 2.0);
-  agg.record("compute", 0, 0.5);
-  agg.record("compute", 1, 1.0);
+  agg.recorder("compute").record(0, 2.0);
+  agg.recorder("compute").record(0, 0.5);
+  agg.recorder("compute").record(1, 1.0);
   const auto* s = agg.find("compute");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->count, 3u);
@@ -48,7 +49,7 @@ TEST(SpanAgg, FoldsCountTotalMinMax) {
 
 TEST(SpanAgg, ClusterSpansHaveNoNodeRows) {
   SpanAggregator agg;
-  agg.record("iteration", SpanAggregator::kClusterNode, 1.0);
+  agg.recorder("iteration").record(SpanAggregator::kClusterNode, 1.0);
   ASSERT_NE(agg.find("iteration"), nullptr);
   EXPECT_EQ(agg.find("iteration")->count, 1u);
   EXPECT_EQ(agg.find_node("iteration", 0), nullptr);
@@ -57,9 +58,13 @@ TEST(SpanAgg, ClusterSpansHaveNoNodeRows) {
 
 TEST(SpanAgg, CategoriesKeepFirstRecordOrder) {
   SpanAggregator agg;
-  agg.record("zeta", 0, 1.0);
-  agg.record("alpha", 0, 1.0);
-  agg.record("zeta", 0, 1.0);  // re-record must not move it
+  // A recorder registers its category on first record, not on creation.
+  (void)agg.recorder("unused");
+  SpanAggregator::Recorder alpha = agg.recorder("alpha");
+  EXPECT_TRUE(agg.empty());
+  agg.recorder("zeta").record(0, 1.0);
+  alpha.record(0, 1.0);
+  agg.recorder("zeta").record(0, 1.0);  // re-record must not move it
   ASSERT_EQ(agg.categories().size(), 2u);
   EXPECT_EQ(agg.categories()[0], "zeta");
   EXPECT_EQ(agg.categories()[1], "alpha");
@@ -81,38 +86,13 @@ TEST(SpanAgg, BucketOfIsTheBinaryExponent) {
             SpanAggregator::kBuckets - 1);
 }
 
-TEST(SpanAgg, MergeSumsStatsAndAdoptsNewCategories) {
-  SpanAggregator a;
-  a.record("compute", 0, 1.0);
-  a.record("barrier", 0, 0.25);
-
-  SpanAggregator b;
-  b.record("compute", 2, 4.0);  // grows per-node vector past a's
-  b.record("network", 0, 0.125);
-
-  a.merge(b);
-  const auto* c = a.find("compute");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->count, 2u);
-  EXPECT_DOUBLE_EQ(c->total_s, 5.0);
-  EXPECT_DOUBLE_EQ(c->min_s, 1.0);
-  EXPECT_DOUBLE_EQ(c->max_s, 4.0);
-  ASSERT_NE(a.find_node("compute", 2), nullptr);
-  EXPECT_EQ(a.find_node("compute", 2)->count, 1u);
-  // Unseen categories adopt b's order after a's existing ones.
-  ASSERT_EQ(a.categories().size(), 3u);
-  EXPECT_EQ(a.categories()[0], "compute");
-  EXPECT_EQ(a.categories()[1], "barrier");
-  EXPECT_EQ(a.categories()[2], "network");
-}
-
 TEST(SpanAgg, JsonSnapshotShape) {
   SpanAggregator agg;
-  agg.record("compute", 0, 1.0);
-  agg.record("compute", 0, 1.5);
-  agg.record("iteration", SpanAggregator::kClusterNode, 2.5);
+  agg.recorder("compute").record(0, 1.0);
+  agg.recorder("compute").record(0, 1.5);
+  agg.recorder("iteration").record(SpanAggregator::kClusterNode, 2.5);
 
-  const auto doc = testjson::parse(agg.to_json());
+  const auto doc = testjson::parse(util::json::dump(agg.to_json_value()));
   const auto& compute = doc.at("compute");
   EXPECT_DOUBLE_EQ(compute.at("count").number, 2.0);
   EXPECT_DOUBLE_EQ(compute.at("total_s").number, 2.5);
@@ -133,8 +113,8 @@ TEST(SpanAgg, JsonBytesArePinned) {
   // The snapshot feeds RunReport golden pins, so its exact bytes are a
   // contract: first-record category order, empty buckets omitted.
   SpanAggregator agg;
-  agg.record("compute", 0, 1.0);
-  EXPECT_EQ(agg.to_json(),
+  agg.recorder("compute").record(0, 1.0);
+  EXPECT_EQ(util::json::dump(agg.to_json_value()),
             "{\n"
             "  \"compute\": {\n"
             "    \"count\": 1,\n"

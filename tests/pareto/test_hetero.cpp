@@ -65,20 +65,6 @@ TEST(Hetero, BestForDeadlinePicksAcrossMachines) {
   EXPECT_THROW(best_for_deadline(ms, q::Seconds{}), std::invalid_argument);
 }
 
-TEST(Hetero, BestForBudgetPicksAcrossMachines) {
-  const std::vector<MachineCandidate> ms{fast_costly(), slow_frugal()};
-  // Generous budget: the fast machine's quickest point qualifies.
-  auto r = best_for_budget(ms, q::Joules{25.0});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->machine, "fast");
-  EXPECT_EQ(r->point.time_s.value(), 1.0);
-  // Tight budget: only the frugal machine fits.
-  r = best_for_budget(ms, q::Joules{5.0});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->machine, "frugal");
-  EXPECT_FALSE(best_for_budget(ms, q::Joules{1.0}).has_value());
-}
-
 TEST(Hetero, CrossoverDeadlineSeparatesRegimes) {
   const auto cross = crossover_deadline(fast_costly(), slow_frugal());
   ASSERT_TRUE(cross.has_value());

@@ -1,4 +1,4 @@
-// Tests for UCR, CCR and time-share metrics (Eqs. 13-14).
+// Tests for UCR (Eq. 13) and the time-share breakdown (Eq. 14).
 
 #include "pareto/metrics.hpp"
 
@@ -6,6 +6,9 @@
 
 #include <cmath>
 #include <stdexcept>
+
+#include "model/equations.hpp"
+#include "trace/measurement.hpp"
 
 namespace hepex::pareto {
 namespace {
@@ -21,38 +24,30 @@ model::Prediction make_pred(double cpu, double mem, double tw, double ts) {
   return p;
 }
 
+// The model's UCR (what the predictor stores in Prediction::ucr) and its
+// share of the time breakdown agree.
 TEST(Ucr, IsTcpuOverTotal) {
   const auto p = make_pred(6.0, 2.0, 1.0, 1.0);
-  EXPECT_DOUBLE_EQ(ucr(p), 0.6);
+  EXPECT_DOUBLE_EQ(model::equations::ucr(p.t_cpu_s, p.time_s), 0.6);
+  EXPECT_DOUBLE_EQ(time_shares(p).cpu, 0.6);
 }
 
 TEST(Ucr, PureComputeIsOne) {
   const auto p = make_pred(10.0, 0.0, 0.0, 0.0);
-  EXPECT_DOUBLE_EQ(ucr(p), 1.0);
+  EXPECT_DOUBLE_EQ(model::equations::ucr(p.t_cpu_s, p.time_s), 1.0);
 }
 
 TEST(Ucr, ZeroTimeThrows) {
-  model::Prediction p;
-  EXPECT_THROW(ucr(p), std::invalid_argument);
+  const model::Prediction p;
+  EXPECT_THROW(model::equations::ucr(p.t_cpu_s, p.time_s),
+               std::invalid_argument);
 }
 
 TEST(Ucr, OfMeasurement) {
   trace::Measurement m;
   m.time_s = q::Seconds{10.0};
   m.t_cpu_s = q::Seconds{4.0};
-  EXPECT_DOUBLE_EQ(ucr(m), 0.4);
-}
-
-TEST(Ccr, RelatesToUcr) {
-  // CCR = UCR / (1 - UCR) for the same run.
-  const auto p = make_pred(6.0, 2.0, 1.0, 1.0);
-  EXPECT_NEAR(ccr(p), ucr(p) / (1.0 - ucr(p)), 1e-12);
-}
-
-TEST(Ccr, UnboundedForPureCompute) {
-  // The paper's argument for UCR: CCR is not normalized.
-  const auto p = make_pred(10.0, 0.0, 0.0, 0.0);
-  EXPECT_TRUE(std::isinf(ccr(p)));
+  EXPECT_DOUBLE_EQ(m.ucr(), 0.4);
 }
 
 TEST(TimeShares, SumToOne) {

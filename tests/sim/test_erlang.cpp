@@ -1,18 +1,57 @@
-// Tests for the Erlang-C / M/M/c helpers, including a convergence check
-// of the event-driven multi-server Resource against theory.
+// The multi-server Resource against M/M/c theory. The analytical model
+// needs only M/G/1 (sim/queueing.hpp), so the Erlang-C and M/M/c
+// formulas live here as the reference the convergence check measures
+// against, and the ErlangC/Mmc tests pin that reference to textbook values
+// and to the library's M/G/1 at c = 1.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/queueing.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace hepex::sim::queueing {
 namespace {
+
+/// Erlang-C: the probability that an arrival to an M/M/c queue waits.
+/// `offered_erlangs` = lambda * E[S]; 1 when offered >= servers.
+double erlang_c(int servers, double offered_erlangs) {
+  HEPEX_REQUIRE(servers >= 1, "need at least one server");
+  HEPEX_REQUIRE(offered_erlangs >= 0.0, "offered load must be non-negative");
+  if (offered_erlangs >= static_cast<double>(servers)) return 1.0;
+  if (offered_erlangs == 0.0) return 0.0;
+  // Iterative Erlang-B, then convert to Erlang-C (stable at large c).
+  double b = 1.0;
+  for (int k = 1; k <= servers; ++k) {
+    b = offered_erlangs * b / (static_cast<double>(k) + offered_erlangs * b);
+  }
+  const double rho = offered_erlangs / static_cast<double>(servers);
+  return b / (1.0 - rho + rho * b);
+}
+
+/// M/M/c mean wait: ErlangC / (c mu - lambda); +inf when unstable.
+q::Seconds mmc_mean_wait(int servers, q::Hertz lambda,
+                         q::Seconds mean_service) {
+  const double offered = offered_load(lambda, mean_service);
+  if (offered >= static_cast<double>(servers)) {
+    return q::Seconds{std::numeric_limits<double>::infinity()};
+  }
+  if (lambda.value() == 0.0) return q::Seconds{};
+  return erlang_c(servers, offered) * mean_service /
+         (static_cast<double>(servers) - offered);
+}
+
+/// The library's M/G/1 wait with exponential service (M/M/1).
+q::Seconds mm1_mean_wait(q::Hertz lambda, q::Seconds mean_service) {
+  return mg1_mean_wait(lambda, mean_service,
+                       2.0 * mean_service * mean_service);
+}
 
 TEST(ErlangC, BoundaryCases) {
   EXPECT_DOUBLE_EQ(erlang_c(1, 0.0), 0.0);

@@ -1,4 +1,4 @@
-// Tests for the closed-form queueing helpers (Pollaczek-Khinchine et al.).
+// Tests for the closed-form queueing formula (Pollaczek-Khinchine).
 
 #include "sim/queueing.hpp"
 
@@ -10,6 +10,26 @@
 namespace hepex::sim::queueing {
 namespace {
 
+/// E[S^2] of an exponential service time (M/M/1): 2 E[S]^2.
+q::SecondsSq exponential_moment(double mean_service) {
+  return q::SecondsSq{2.0 * mean_service * mean_service};
+}
+
+/// E[S^2] of a deterministic service time (M/D/1): E[S]^2.
+q::SecondsSq deterministic_moment(double mean_service) {
+  return q::SecondsSq{mean_service * mean_service};
+}
+
+q::Seconds mm1_wait(double lambda, double mean_service) {
+  return mg1_mean_wait(q::Hertz{lambda}, q::Seconds{mean_service},
+                       exponential_moment(mean_service));
+}
+
+q::Seconds md1_wait(double lambda, double mean_service) {
+  return mg1_mean_wait(q::Hertz{lambda}, q::Seconds{mean_service},
+                       deterministic_moment(mean_service));
+}
+
 TEST(Queueing, OfferedLoad) {
   EXPECT_DOUBLE_EQ(offered_load(q::Hertz{2.0}, q::Seconds{0.25}), 0.5);
   EXPECT_DOUBLE_EQ(offered_load(q::Hertz{0.0}, q::Seconds{1.0}), 0.0);
@@ -18,24 +38,25 @@ TEST(Queueing, OfferedLoad) {
 }
 
 TEST(Queueing, SecondMoments) {
-  EXPECT_DOUBLE_EQ(deterministic_second_moment(q::Seconds{2.0}).value(),
-                   4.0);
-  EXPECT_DOUBLE_EQ(exponential_second_moment(q::Seconds{2.0}).value(),
-                   8.0);
+  // The P-K wait is linear in E[S^2] at a fixed load.
+  const q::Hertz lambda{0.5};
+  const q::Seconds s{1.0};
+  const double w1 = mg1_mean_wait(lambda, s, q::SecondsSq{1.0}).value();
+  EXPECT_NEAR(mg1_mean_wait(lambda, s, q::SecondsSq{3.0}).value(), 3.0 * w1,
+              1e-12);
+  EXPECT_DOUBLE_EQ(mg1_mean_wait(lambda, s, q::SecondsSq{0.0}).value(), 0.0);
 }
 
 TEST(Queueing, Mm1KnownValue) {
   // rho = 0.5, E[S] = 1: W = rho/(1-rho) * E[S] = 1.
-  EXPECT_NEAR(mm1_mean_wait(q::Hertz{0.5}, q::Seconds{1.0}).value(), 1.0,
-              1e-12);
+  EXPECT_NEAR(mm1_wait(0.5, 1.0).value(), 1.0, 1e-12);
 }
 
 TEST(Queueing, Md1IsHalfOfMm1) {
   // Deterministic service halves the PK waiting time.
   const double lambda = 0.6;
   const double s = 1.0;
-  EXPECT_NEAR(md1_mean_wait(q::Hertz{lambda}, q::Seconds{s}).value(),
-              0.5 * mm1_mean_wait(q::Hertz{lambda}, q::Seconds{s}).value(),
+  EXPECT_NEAR(md1_wait(lambda, s).value(), 0.5 * mm1_wait(lambda, s).value(),
               1e-12);
 }
 
@@ -52,17 +73,13 @@ TEST(Queueing, Mg1MatchesManualPk) {
 }
 
 TEST(Queueing, UnstableQueueIsInfinite) {
-  EXPECT_TRUE(std::isinf(
-      mm1_mean_wait(q::Hertz{1.0}, q::Seconds{1.0}).value()));
-  EXPECT_TRUE(std::isinf(
-      mm1_mean_wait(q::Hertz{2.0}, q::Seconds{1.0}).value()));
+  EXPECT_TRUE(std::isinf(mm1_wait(1.0, 1.0).value()));
+  EXPECT_TRUE(std::isinf(mm1_wait(2.0, 1.0).value()));
 }
 
 TEST(Queueing, ZeroArrivalsNoWait) {
-  EXPECT_DOUBLE_EQ(mm1_mean_wait(q::Hertz{0.0}, q::Seconds{1.0}).value(),
-                   0.0);
-  EXPECT_DOUBLE_EQ(md1_mean_wait(q::Hertz{0.0}, q::Seconds{1.0}).value(),
-                   0.0);
+  EXPECT_DOUBLE_EQ(mm1_wait(0.0, 1.0).value(), 0.0);
+  EXPECT_DOUBLE_EQ(md1_wait(0.0, 1.0).value(), 0.0);
 }
 
 TEST(Queueing, NegativeSecondMomentThrows) {
@@ -77,10 +94,8 @@ class PkMonotoneTest : public ::testing::TestWithParam<double> {};
 TEST_P(PkMonotoneTest, WaitGrowsWithLoad) {
   const double rho = GetParam();
   const double s = 1.0;
-  EXPECT_LT(mm1_mean_wait(q::Hertz{rho}, q::Seconds{s}),
-            mm1_mean_wait(q::Hertz{rho + 0.05}, q::Seconds{s}));
-  EXPECT_LT(md1_mean_wait(q::Hertz{rho}, q::Seconds{s}),
-            md1_mean_wait(q::Hertz{rho + 0.05}, q::Seconds{s}));
+  EXPECT_LT(mm1_wait(rho, s), mm1_wait(rho + 0.05, s));
+  EXPECT_LT(md1_wait(rho, s), md1_wait(rho + 0.05, s));
 }
 
 INSTANTIATE_TEST_SUITE_P(RhoSweep, PkMonotoneTest,

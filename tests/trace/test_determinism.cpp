@@ -14,6 +14,7 @@
 #include "obs/span_agg.hpp"
 #include "obs/trace_sink.hpp"
 #include "trace/execution_engine.hpp"
+#include "util/json.hpp"
 #include "workload/programs.hpp"
 
 namespace hepex::trace {
@@ -186,7 +187,7 @@ TEST(Determinism, RepeatedRunsEmitIdenticalSpanSnapshots) {
     opt.chunks_per_iteration = 6;
     opt.spans = &agg;
     simulate(machine, program, cfg, opt);
-    return agg.to_json();
+    return util::json::dump(agg.to_json_value());
   };
   EXPECT_EQ(spans_json(), spans_json());
 }

@@ -21,13 +21,6 @@ Measurement sample_run() {
                   {2, 2, q::Hertz{1.5e9}});
 }
 
-TEST(PowerMeter, ExactReadingMatchesIntegration) {
-  const Measurement m = sample_run();
-  const MeterReading r = PowerMeter::read_exact(m);
-  EXPECT_DOUBLE_EQ(r.time_s.value(), m.time_s.value());
-  EXPECT_DOUBLE_EQ(r.energy_j.value(), m.energy.total().value());
-}
-
 TEST(PowerMeter, NoisyReadingIsCloseToExact) {
   const Measurement m = sample_run();
   PowerMeter meter(hw::xeon_cluster());

@@ -16,6 +16,7 @@
 #include "obs/registry.hpp"
 #include "obs/span_agg.hpp"
 #include "trace/scenario.hpp"
+#include "util/json.hpp"
 #include "workload/programs.hpp"
 
 namespace hepex::trace {
@@ -62,7 +63,7 @@ TEST(RunReportBuild, AttributionEnergySumsToMeasuredTotal) {
   EXPECT_LE(std::fabs(sum - r.energy_j) / r.energy_j, 1e-9);
   // Barrier energy is zero by construction: waiting cores draw only the
   // static floor, which the idle category carries.
-  EXPECT_EQ(r.category("barrier")->energy_j, 0.0);
+  EXPECT_EQ(r.attribution[3].energy_j, 0.0);  // barrier
 }
 
 TEST(RunReportBuild, PerNodeRowsCoverEveryNode) {
@@ -81,7 +82,7 @@ TEST(RunReportBuild, PerNodeRowsCoverEveryNode) {
   }
   // Per-node compute seconds are exactly the category's time entry (the
   // builder computes one from the other).
-  EXPECT_DOUBLE_EQ(compute_s, r.category("compute")->time_s);
+  EXPECT_DOUBLE_EQ(compute_s, r.attribution[0].time_s);
   // Node-attributable energy (cpu + mem + idle) is bounded by the total;
   // the cluster-level wire/fault energy is the remainder.
   EXPECT_LE(node_energy_j, r.energy_j * (1.0 + 1e-9));
@@ -146,7 +147,7 @@ TEST(RunReportBuild, ReportBytesAreDeterministic) {
   const auto bytes = [&s] {
     obs::Registry reg;
     obs::SpanAggregator agg;
-    return build(s, &reg, &agg).to_json();
+    return util::json::dump(build(s, &reg, &agg).to_json_value());
   };
   EXPECT_EQ(bytes(), bytes());
 }

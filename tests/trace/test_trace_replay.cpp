@@ -1,9 +1,9 @@
-// Tests for trace replay (trace/replay.hpp): lowering a hepex-trace/1
-// document onto the execution engine reproduces the analytic simulation
-// bit-for-bit for generated traces, replay is deterministic with and
-// without observability sinks, and multi-block traces run end-to-end.
-
-#include "trace/replay.hpp"
+// Tests for trace replay on the path `hepex trace replay` runs: a
+// hepex-trace/1 document lowered to a ProgramSpec (workload::lower_trace,
+// or workload::load_trace_file for a file) and run by trace::simulate.
+// Replaying a generated trace reproduces the analytic simulation
+// bit-for-bit, replay is deterministic with and without observability
+// sinks, and multi-block traces run end-to-end.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +13,21 @@
 #include "hw/presets.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_sink.hpp"
+#include "trace/execution_engine.hpp"
 #include "workload/programs.hpp"
 #include "workload/trace_format.hpp"
 
 namespace hepex::trace {
 namespace {
+
+/// Lower a parsed trace and run it (lower_trace validates the demands,
+/// simulate the configuration).
+Measurement replay(const hw::MachineSpec& machine,
+                   const workload::TraceDoc& doc,
+                   const hw::ClusterConfig& config,
+                   const SimOptions& options = {}) {
+  return simulate(machine, workload::lower_trace(doc), config, options);
+}
 
 void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.time_s, b.time_s);
@@ -44,7 +54,7 @@ TEST(TraceReplay, GeneratedTraceReplaysBitIdenticalToTheAnalyticRun) {
     const workload::TraceDoc doc =
         workload::parse_trace(workload::write_trace(program));
     const Measurement direct = simulate(machine, program, cfg);
-    const Measurement replayed = replay_trace(machine, doc, cfg);
+    const Measurement replayed = replay(machine, doc, cfg);
     expect_identical(direct, replayed);
   }
 }
@@ -56,14 +66,14 @@ TEST(TraceReplay, ReplayIsUnperturbedByObservabilitySinks) {
       workload::write_trace(
           workload::program_by_name("SP", workload::InputClass::kS)));
 
-  const Measurement bare = replay_trace(machine, doc, cfg);
+  const Measurement bare = replay(machine, doc, cfg);
 
   obs::TraceSink sink;
   obs::Registry reg;
   SimOptions opt;
   opt.trace = &sink;
   opt.metrics = &reg;
-  const Measurement observed = replay_trace(machine, doc, cfg, opt);
+  const Measurement observed = replay(machine, doc, cfg, opt);
   EXPECT_FALSE(sink.empty());
   EXPECT_GT(reg.size(), 0u);
   expect_identical(bare, observed);
@@ -75,8 +85,8 @@ TEST(TraceReplay, RepeatedReplaysAreBitIdentical) {
   const workload::TraceDoc doc = workload::parse_trace(
       workload::write_trace(
           workload::program_by_name("LB", workload::InputClass::kS)));
-  expect_identical(replay_trace(machine, doc, cfg),
-                   replay_trace(machine, doc, cfg));
+  expect_identical(replay(machine, doc, cfg),
+                   replay(machine, doc, cfg));
 }
 
 TEST(TraceReplay, MultiBlockTraceRunsEndToEnd) {
@@ -101,7 +111,7 @@ TEST(TraceReplay, MultiBlockTraceRunsEndToEnd) {
   const workload::TraceDoc doc = workload::parse_trace(text);
   const auto machine = hw::xeon_cluster();
   const Measurement m =
-      replay_trace(machine, doc, hw::ClusterConfig{2, 2, q::Hertz{1.8e9}});
+      replay(machine, doc, hw::ClusterConfig{2, 2, q::Hertz{1.8e9}});
   EXPECT_GT(m.time_s.value(), 0.0);
   EXPECT_GT(m.energy.total().value(), 0.0);
   EXPECT_GT(m.messages.messages, 0.0);
@@ -121,8 +131,8 @@ TEST(TraceReplay, ReplayTraceFileMatchesInMemoryReplay) {
   const auto machine = hw::xeon_cluster();
   const hw::ClusterConfig cfg{1, 4, q::Hertz{1.8e9}};
   expect_identical(
-      replay_trace(machine, workload::parse_trace(text), cfg),
-      replay_trace_file(machine, path, cfg));
+      replay(machine, workload::parse_trace(text), cfg),
+      simulate(machine, workload::load_trace_file(path), cfg));
   std::remove(path.c_str());
 }
 

@@ -73,13 +73,6 @@ TEST(Programs, WorkingSetSplitsAcrossProcesses) {
   EXPECT_THROW(sp.working_set_per_process(0), std::invalid_argument);
 }
 
-TEST(Programs, WorkingSetPerThreadDividesProcessShare) {
-  const auto bt = make_bt();
-  EXPECT_DOUBLE_EQ(bt.working_set_per_thread(2, 4),
-                   bt.working_set_per_process(2) / 4.0);
-  EXPECT_THROW(bt.working_set_per_thread(1, 0), std::invalid_argument);
-}
-
 TEST(Programs, SyncCostGrowsWithTotalCores) {
   const auto lb = make_lb();
   EXPECT_GT(lb.sync.cycles(64), lb.sync.cycles(8));
