@@ -446,7 +446,10 @@ CheckResult check_reports(const RunReport& baseline,
   for (const RunReport::Category& bc : baseline.attribution) {
     double candidate_j = 0.0;
     for (const RunReport::Category& cc : candidate.attribution) {
-      if (cc.name == bc.name) candidate_j = cc.energy_j;
+      if (cc.name == bc.name) {
+        candidate_j = cc.energy_j;
+        break;
+      }
     }
     gate_two_sided(res.items, "attribution.energy_j." + bc.name, bc.energy_j,
                    candidate_j, opts.rtol);
