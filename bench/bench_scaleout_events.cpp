@@ -1,10 +1,10 @@
 // Simulator event-throughput scaling: events/s versus cluster size.
 //
 // Not a paper artefact — this guards the raw speed of the discrete-event
-// engine itself. The paper's clusters stop at 8 nodes; the sharded
-// calendar (src/sim/calendar.hpp) is what keeps the engine usable three
-// orders of magnitude past that, and this bench is where that claim is
-// measured: one short SP/S run per node count, timed around
+// engine itself. The paper's clusters stop at 8 nodes; the flat
+// (time, seq) event heap (src/sim/calendar.hpp) is what keeps the engine
+// usable three orders of magnitude past that, and this bench is where
+// that claim is measured: one short SP/S run per node count, timed around
 // trace::simulate() (the engine loop only — scenario parsing, report
 // writing and other fixed process overhead are excluded on purpose,
 // because at small event counts they dominate end-to-end wall time and

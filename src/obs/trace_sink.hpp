@@ -42,13 +42,6 @@ class TraceSink {
   void complete(int pid, int tid, std::string_view name,
                 std::string_view category, double start_s, double dur_s);
 
-  /// Complete span expressed by its *end* (the natural form inside
-  /// completion callbacks): `[end_s - dur_s, end_s]`.
-  void complete_end(int pid, int tid, std::string_view name,
-                    std::string_view category, double end_s, double dur_s) {
-    complete(pid, tid, name, category, end_s - dur_s, dur_s);
-  }
-
   /// Zero-duration marker ("i" event, thread scope).
   void instant(int pid, int tid, std::string_view name,
                std::string_view category, double ts_s);

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <limits>
-#include <string>
-#include <utility>
 
 #include "sim/arena.hpp"
 #include "util/error.hpp"
@@ -55,175 +52,59 @@ void ActionPool::reserve(std::size_t slots) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedCalendar
+// EventCalendar
 
-namespace {
-constexpr double kInfTime = std::numeric_limits<double>::infinity();
-}  // namespace
+void EventCalendar::reserve(std::size_t pending) {
+  heap_.reserve(pending);
+  pool_.reserve(pending);
+}
 
-void ShardedCalendar::set_shards(int count) {
-  HEPEX_REQUIRE(count >= 1, "calendar shard count must be >= 1, got " +
-                                std::to_string(count));
-  HEPEX_REQUIRE(count <= static_cast<int>(kShardMask) + 1,
-                "calendar shard count must be <= 65536, got " +
-                    std::to_string(count));
-  HEPEX_REQUIRE(empty(),
-                "calendar shard count can only change while no events are "
-                "pending");
-  const auto n = static_cast<std::size_t>(count);
-  heaps_.assign(n, {});
-  heads_.resize(n);
-  head_pos_.resize(n);
-  // The sentinels' identity layout is a valid heap (all times +inf; the
-  // packed shard bits give them a consistent ascending order).
-  for (std::size_t s = 0; s < n; ++s) {
-    heads_[s] = Head{q::Seconds{kInfTime}, s};
-    head_pos_[s] = static_cast<int>(s);
+void EventCalendar::link(const Key& k) {
+  heap_.push_back(k);
+  std::size_t i = heap_.size() - 1;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!earlier(k, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
-  root_stale_ = false;
+  heap_[i] = k;
+  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
 }
 
-void ShardedCalendar::reserve(std::size_t total_pending) {
-  const auto nshards = heaps_.size();
-  const std::size_t per_shard = total_pending / nshards + 8;
-  for (auto& h : heaps_) h.reserve(per_shard);
-  pool_.reserve(total_pending);
-}
-
-void ShardedCalendar::link(q::Seconds time, std::uint64_t seq, int shard,
-                           std::uint32_t slot) {
-  HEPEX_ASSERT(shard >= 0 && shard < shards(), "event shard out of range");
-  HEPEX_ASSERT(seq < (std::uint64_t{1} << (64 - kShardBits)),
-               "event sequence number overflows the packed head key");
-  const Key k{time, seq, slot};
-  auto& heap = heaps_[static_cast<std::size_t>(shard)];
-  heap.push_back(k);
-  heap_sift_up(heap, heap.size() - 1);
-  if (heap[0].seq == k.seq) {
-    // The new event became this shard's minimum (always true for a
-    // previously-empty shard): the head key shrank, so it sifts up.
-    const auto sh = static_cast<std::size_t>(shard);
-    auto i = static_cast<std::size_t>(head_pos_[sh]);
-    if (i != 0) {
-      // Sifting up compares against the root, so settle any deferred
-      // root sink first — it can relocate this shard's entry, so the
-      // position must be re-read afterwards.
-      fix_root();
-      i = static_cast<std::size_t>(head_pos_[sh]);
-    }
-    heads_[i].time = k.time;
-    heads_[i].seq_shard =
-        (k.seq << kShardBits) | static_cast<std::uint64_t>(shard);
-    if (i == 0) {
-      // Overwrote the root. If it was stale (just popped, sink
-      // deferred), it stays stale; otherwise the key only shrank and
-      // the heap is still valid. Either way, no sift now — this is the
-      // hot pop-run-push-same-shard path.
-    } else {
-      heads_sift_up(i);
-    }
-  }
-  ++pending_;
-  if (pending_ > peak_pending_) peak_pending_ = pending_;
-}
-
-ShardedCalendar::Fired ShardedCalendar::pop() {
+EventCalendar::Fired EventCalendar::pop() {
   HEPEX_ASSERT(!empty(), "pop from empty calendar");
-  fix_root();
-  // The heads root is the minimum over all shard minima, which is the
-  // global (time, seq) minimum — identical order to one global heap.
-  const int shard = heads_[0].shard();
-  auto& heap = heaps_[static_cast<std::size_t>(shard)];
-  const Key k = heap[0];
-  heap[0] = heap.back();
-  heap.pop_back();
-  // The shard's head key grew (next event, or the +inf sentinel when
-  // the shard drained). Overwrite the root but defer its sink: the
-  // fired action usually pushes this shard's next event before the
-  // front is read again, replacing this key in place (see root_stale_).
-  if (!heap.empty()) {
-    heap_sift_down(heap, 0);
-    heads_[0].time = heap[0].time;
-    heads_[0].seq_shard = (heap[0].seq << kShardBits) |
-                          static_cast<std::uint64_t>(shard);
-  } else {
-    heads_[0].time = q::Seconds{kInfTime};
-    heads_[0].seq_shard = static_cast<std::uint64_t>(shard);
+  const Key top = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n != 0) {
+    // Sift the former last key down from the root.
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = kArity * i + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + kArity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (earlier(heap_[c], heap_[best])) best = c;
+      }
+      if (!earlier(heap_[best], last)) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = last;
   }
-  root_stale_ = true;
-  --pending_;
-  return Fired{k.time, shard, k.slot};
+  return Fired{top.time, top.slot};
 }
 
-CalendarStats ShardedCalendar::stats() const {
+CalendarStats EventCalendar::stats() const {
   CalendarStats s;
   s.slot_acquires = pool_.acquires();
   s.slot_chunks = pool_.chunks();
   s.slot_high_water = pool_.high_water();
   s.peak_pending = peak_pending_;
   return s;
-}
-
-// --- per-shard binary heaps (24-byte keys, manual sifts) -------------------
-
-void ShardedCalendar::heap_sift_up(std::vector<Key>& h, std::size_t i) {
-  const Key k = h[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(k, h[parent])) break;
-    h[i] = h[parent];
-    i = parent;
-  }
-  h[i] = k;
-}
-
-void ShardedCalendar::heap_sift_down(std::vector<Key>& h, std::size_t i) {
-  const std::size_t n = h.size();
-  const Key k = h[i];
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && earlier(h[child + 1], h[child])) ++child;
-    if (!earlier(h[child], k)) break;
-    h[i] = h[child];
-    i = child;
-  }
-  h[i] = k;
-}
-
-// --- indexed 4-ary heap of heads (position-tracked per shard) --------------
-
-void ShardedCalendar::heads_sift_up(std::size_t i) {
-  const Head e = heads_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeadArity;
-    if (!earlier(e, heads_[parent])) break;
-    heads_[i] = heads_[parent];
-    head_pos_[heads_[i].seq_shard & kShardMask] = static_cast<int>(i);
-    i = parent;
-  }
-  heads_[i] = e;
-  head_pos_[e.seq_shard & kShardMask] = static_cast<int>(i);
-}
-
-void ShardedCalendar::heads_sift_down(std::size_t i) {
-  const std::size_t n = heads_.size();
-  const Head e = heads_[i];
-  for (;;) {
-    const std::size_t first = kHeadArity * i + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + kHeadArity, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (earlier(heads_[c], heads_[best])) best = c;
-    }
-    if (!earlier(heads_[best], e)) break;
-    heads_[i] = heads_[best];
-    head_pos_[heads_[i].seq_shard & kShardMask] = static_cast<int>(i);
-    i = best;
-  }
-  heads_[i] = e;
-  head_pos_[e.seq_shard & kShardMask] = static_cast<int>(i);
 }
 
 }  // namespace hepex::sim

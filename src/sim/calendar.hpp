@@ -1,34 +1,24 @@
 #pragma once
 /// \file calendar.hpp
-/// \brief Sharded event calendar: per-shard min-heaps + a heap of heads.
+/// \brief Event calendar: one flat 4-ary min-heap of `(time, seq)` keys.
 ///
 /// The single global `std::priority_queue<Event>` the simulator started
 /// with moved whole 112-byte events (a 96-byte action buffer plus key)
-/// through every heap sift — O(log total-pending) large-object moves and
-/// an indirect relocate call per level, per push, per pop. At paper
-/// scale (8 nodes) that is invisible; at 1000 nodes it is the hot path.
-///
-/// This calendar splits the load three ways:
+/// through every heap sift. This calendar keeps one global heap but
+/// makes each sift cheap:
 ///
 ///  * **Actions are parked, not moved.** Every scheduled `EventFn` lives
 ///    in an `ActionPool` slot with a stable address until it fires; the
-///    heaps order 24-byte POD keys `(time, seq, slot)`.
-///  * **Per-shard calendars.** The execution engine gives every node its
-///    own shard (plus one for cluster-wide events), so a shard's heap
-///    holds only that node's pending events — shallow, cache-resident
-///    sifts instead of one deep global heap.
-///  * **A heap of heads.** The globally-earliest event is found by an
-///    indexed min-heap over the shard heads: pop is O(log shards) on
-///    node count plus O(log per-shard-pending), instead of
-///    O(log total-pending) over everything.
+///    heap orders 24-byte POD keys `(time, seq, slot)`.
+///  * **The heap is 4-ary.** Half the levels of a binary heap, and the
+///    four children of a node sit in 96 contiguous bytes, so a pop at
+///    1000 nodes (~2,000 pending) touches ~6 levels of adjacent keys.
 ///
-/// Determinism is by construction, not by convention: every event
-/// carries the simulator's global sequence number, all heaps order by
-/// `(time, seq)`, and the minimum over shard minima is the global
-/// minimum — so the pop order is *identical* to the old global
-/// calendar's regardless of how events are distributed over shards
-/// (pinned by tests/sim/test_calendar.cpp against a reference queue and
-/// by the tests/trace golden calendar-equivalence suite).
+/// Determinism is by construction: every event carries the simulator's
+/// sequence number, which is unique, so `(time, seq)` is a total order
+/// and pop order cannot depend on heap layout (pinned by
+/// tests/sim/test_calendar.cpp against a reference queue and by the
+/// tests/trace golden calendar-equivalence suite).
 
 #include <cstddef>
 #include <cstdint>
@@ -36,6 +26,7 @@
 #include <vector>
 
 #include "sim/event_fn.hpp"
+#include "util/error.hpp"
 #include "util/quantity.hpp"
 
 namespace hepex::sim {
@@ -107,35 +98,26 @@ class ActionPool {
   std::uint64_t high_water_ = 0;
 };
 
-/// The sharded calendar (see file doc). Not a general priority queue:
-/// the caller (sim::Simulator) supplies a strictly increasing `seq` per
+/// The event calendar (see file doc). Not a general priority queue: the
+/// caller (sim::Simulator) supplies a strictly increasing `seq` per
 /// push, which is what makes the order total and deterministic.
-class ShardedCalendar {
+class EventCalendar {
  public:
-  ShardedCalendar() { set_shards(1); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
-  /// Set the shard count (>= 1). Only legal while the calendar is empty
-  /// — the engine calls it once, before scheduling anything.
-  void set_shards(int count);
-  int shards() const { return static_cast<int>(heaps_.size()); }
-
-  bool empty() const { return pending_ == 0; }
-  std::size_t size() const { return pending_; }
-
-  /// Park `action` and enter `(time, seq)` into `shard`'s calendar.
-  /// Templated (see ActionPool::acquire): the action is constructed in
-  /// its pool slot, not moved through the call chain.
+  /// Park `action` and enter `(time, seq)` into the heap. Templated (see
+  /// ActionPool::acquire): the action is constructed in its pool slot,
+  /// not moved through the call chain.
   template <typename F>
-  void push(q::Seconds time, std::uint64_t seq, int shard, F&& action) {
-    link(time, seq, shard, pool_.acquire(std::forward<F>(action)));
+  void push(q::Seconds time, std::uint64_t seq, F&& action) {
+    link(Key{time, seq, pool_.acquire(std::forward<F>(action))});
   }
 
-  /// Timestamp of the globally-earliest event (calendar must be
-  /// non-empty). Non-const: reading the front may settle a deferred
-  /// heads fix-up (see `root_stale_`).
-  q::Seconds top_time() {
-    fix_root();
-    return heads_[0].time;
+  /// Timestamp of the earliest event (calendar must be non-empty).
+  q::Seconds top_time() const {
+    HEPEX_ASSERT(!empty(), "top_time of empty calendar");
+    return heap_.front().time;
   }
 
   /// A popped event: the action stays parked at `slot` until the caller
@@ -143,12 +125,11 @@ class ShardedCalendar {
   /// execution even when firing reallocates heap storage).
   struct Fired {
     q::Seconds time;
-    int shard;
     std::uint32_t slot;
   };
 
-  /// Remove the globally-earliest event from the heaps. The action
-  /// remains parked; call `run_slot` then `release_slot`.
+  /// Remove the earliest event from the heap. The action remains
+  /// parked; call `run_slot` then `release_slot`.
   Fired pop();
 
   /// Invoke the action parked at `slot` (may push new events).
@@ -156,11 +137,9 @@ class ShardedCalendar {
   /// Destroy the action at `slot` and recycle the slot.
   void release_slot(std::uint32_t slot) { pool_.release(slot); }
 
-  /// Pre-size for `total_pending` simultaneous events spread over the
-  /// current shards (call after set_shards): every shard heap gets
-  /// `total_pending / shards` entries of headroom and the action pool
-  /// gets `total_pending` slots.
-  void reserve(std::size_t total_pending);
+  /// Pre-size for `pending` simultaneous events: heap storage and
+  /// `pending` action-pool slots.
+  void reserve(std::size_t pending);
 
   /// Lifetime counters (peak occupancy, pool chunks).
   CalendarStats stats() const;
@@ -176,67 +155,15 @@ class ShardedCalendar {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
-  /// Head entry: a shard's current minimum plus the shard id, packed to
-  /// 16 bytes so four 4-ary-heap children share one cache line. The
-  /// packed word is `seq << 16 | shard`: seq is globally unique, so
-  /// ordering by `(time, packed)` is ordering by `(time, seq)` — the
-  /// shard bits only break ties between the +inf sentinels of empty
-  /// shards (seq 0), where any consistent order will do. Limits implied:
-  /// at most 65536 shards and 2^48 events per simulator lifetime (both
-  /// enforced; 2^48 events is ~a year of wall time at current speed).
-  struct Head {
-    q::Seconds time;
-    std::uint64_t seq_shard;
-    int shard() const { return static_cast<int>(seq_shard & kShardMask); }
-  };
-  static constexpr std::uint64_t kShardMask = 0xffff;
-  static constexpr int kShardBits = 16;
-  static bool earlier(const Head& a, const Head& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq_shard < b.seq_shard;
-  }
+  static constexpr std::size_t kArity = 4;
 
-  /// Enter an already-parked action's `(time, seq)` key into `shard`'s
-  /// heap (the non-template tail of push()).
-  void link(q::Seconds time, std::uint64_t seq, int shard,
-            std::uint32_t slot);
+  /// Enter an already-parked action's key (the non-template tail of
+  /// push()).
+  void link(const Key& k);
 
-  void heap_sift_up(std::vector<Key>& h, std::size_t i);
-  void heap_sift_down(std::vector<Key>& h, std::size_t i);
-  void heads_sift_up(std::size_t i);
-  void heads_sift_down(std::size_t i);
-
-  /// Settle a deferred root sink (see `root_stale_`).
-  void fix_root() {
-    if (root_stale_) {
-      heads_sift_down(0);
-      root_stale_ = false;
-    }
-  }
-
-  // The heads heap always holds exactly one entry per shard; an empty
-  // shard's entry is the +inf sentinel. Keeping empty shards in the heap
-  // (instead of removing/re-inserting) matters because at high shard
-  // counts nearly every pop empties its shard and the next push refills
-  // it — with removal that is two full sifts of bookkeeping per event.
-  // The heap is 4-ary: half the levels of a binary heap over 1000 shards,
-  // and the four children share two cache lines.
-  static constexpr std::size_t kHeadArity = 4;
-
-  std::vector<std::vector<Key>> heaps_;  ///< one min-heap per shard
-  std::vector<Head> heads_;              ///< indexed 4-ary min-heap of heads
-  std::vector<int> head_pos_;            ///< shard -> index in heads_
+  std::vector<Key> heap_;  ///< 4-ary min-heap
   ActionPool pool_;
-  std::size_t pending_ = 0;
   std::uint64_t peak_pending_ = 0;
-  /// Pop replaces the root's key (the popped shard's next event, or the
-  /// +inf sentinel) but defers its sink until the front is next needed.
-  /// The fired action usually schedules a follow-up on the *same* shard
-  /// before then; that push overwrites the root in place and the stale
-  /// sentinel never round-trips to the bottom of the heap and back.
-  /// Invariant while set: heads_ is a valid min-heap except the root
-  /// entry, which may be too large.
-  bool root_stale_ = false;
 };
 
 }  // namespace hepex::sim

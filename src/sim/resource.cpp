@@ -36,11 +36,9 @@ Resource::Job Resource::JobRing::pop_front() {
 // ---------------------------------------------------------------------------
 // Resource
 
-Resource::Resource(Simulator& sim, std::string name, int servers, int shard)
-    : sim_(sim), name_(std::move(name)), servers_(servers), shard_(shard) {
+Resource::Resource(Simulator& sim, std::string name, int servers)
+    : sim_(sim), name_(std::move(name)), servers_(servers) {
   HEPEX_REQUIRE(servers >= 1, "resource needs at least one server");
-  HEPEX_REQUIRE(shard == kInheritShard || (shard >= 0 && shard < sim.shards()),
-                "resource shard out of range: " + std::to_string(shard));
 }
 
 void Resource::request(SimTime service_time, Completion on_complete) {
@@ -86,12 +84,7 @@ void Resource::start(SimTime service, SimTime arrival, std::size_t depth,
   in.started = sim_.now();
   in.depth = depth;
   in.cb = std::move(cb);
-  const auto fire = [this, slot] { complete(slot); };
-  if (shard_ == kInheritShard) {
-    sim_.schedule(service, fire);
-  } else {
-    sim_.schedule_on(shard_, service, fire);
-  }
+  sim_.schedule(service, [this, slot] { complete(slot); });
 }
 
 void Resource::complete(std::uint32_t slot) {

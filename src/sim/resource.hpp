@@ -36,10 +36,6 @@ class Resource {
   /// buffer, so submitting a job never heap-allocates.
   using Completion = CompletionFn;
 
-  /// Schedule completion events on the simulator shard current at
-  /// request time (the default; see Simulator::current_shard()).
-  static constexpr int kInheritShard = -1;
-
   /// Everything an observer needs to reconstruct one job's life cycle:
   /// queue interval `[arrival_s, start_s]`, service interval
   /// `[start_s, finish_s]`, and the backlog it arrived behind.
@@ -63,12 +59,7 @@ class Resource {
   /// \param sim      owning simulator (must outlive the resource)
   /// \param name     diagnostic name
   /// \param servers  number of parallel servers (>= 1)
-  /// \param shard    calendar shard for completion events, or
-  ///                 kInheritShard to use the shard current at request
-  ///                 time. A per-node resource pins its node's shard so
-  ///                 its completions stay on that node's calendar.
-  Resource(Simulator& sim, std::string name, int servers = 1,
-           int shard = kInheritShard);
+  Resource(Simulator& sim, std::string name, int servers = 1);
 
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
@@ -143,7 +134,6 @@ class Resource {
   Simulator& sim_;
   std::string name_;
   int servers_;
-  int shard_;
   int busy_ = 0;
   SimTime busy_time_{};
   std::size_t completed_ = 0;

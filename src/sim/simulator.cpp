@@ -13,15 +13,13 @@ std::size_t Simulator::run(std::size_t max_events) {
   while (!calendar_.empty() && processed < max_events) {
     const auto fired = calendar_.pop();
     now_ = fired.time;
-    current_shard_ = fired.shard;
     // The action runs in its pool slot (stable address), so it may
-    // schedule new events — including onto its own shard — while alive.
+    // schedule new events while alive.
     calendar_.run_slot(fired.slot);
     calendar_.release_slot(fired.slot);
     ++processed;
     ++processed_;
   }
-  current_shard_ = 0;
   return processed;
 }
 
@@ -34,13 +32,11 @@ std::size_t Simulator::run_until(SimTime t_end) {
   while (!calendar_.empty() && calendar_.top_time() <= t_end) {
     const auto fired = calendar_.pop();
     now_ = fired.time;
-    current_shard_ = fired.shard;
     calendar_.run_slot(fired.slot);
     calendar_.release_slot(fired.slot);
     ++processed;
     ++processed_;
   }
-  current_shard_ = 0;
   if (now_ < t_end) now_ = t_end;
   return processed;
 }

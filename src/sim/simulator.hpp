@@ -6,18 +6,12 @@
 /// components schedule events on a shared virtual clock. Events with equal
 /// timestamps fire in FIFO scheduling order, which keeps runs deterministic.
 ///
-/// The calendar is sharded (see calendar.hpp): callers may partition their
-/// events across shards — the execution engine uses one shard per node plus
-/// one for cluster-wide events — which keeps each heap shallow at large node
-/// counts. Sharding is a throughput lever only: events pop in global
-/// `(time, scheduling order)` regardless of shard placement, so results are
-/// bit-identical to a single global calendar (pinned by the calendar unit
-/// suite and the trace-level golden equivalence tests).
+/// The calendar is one flat heap of `(time, scheduling order)` keys (see
+/// calendar.hpp), so the pop order is that total order by construction.
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <utility>
 
 #include "sim/calendar.hpp"
@@ -31,7 +25,7 @@ namespace hepex::sim {
 /// confused with frequencies, byte counts or plain scalars at compile time.
 using SimTime = q::Seconds;
 
-/// Discrete-event simulator: a virtual clock plus a sharded event calendar.
+/// Discrete-event simulator: a virtual clock plus an event calendar.
 class Simulator {
  public:
   /// Event actions are small-buffer-optimized (see event_fn.hpp): the
@@ -41,56 +35,27 @@ class Simulator {
   /// Current virtual time.
   SimTime now() const { return now_; }
 
-  /// Partition the calendar into `count` shards (>= 1; default 1). Only
-  /// legal while no events are pending — call it once, before scheduling.
-  /// Purely a performance knob: results do not depend on it.
-  void set_shards(int count) { calendar_.set_shards(count); }
-
-  /// Number of calendar shards.
-  int shards() const { return calendar_.shards(); }
-
-  /// Shard of the event currently firing (0 outside run()/run_until()).
-  /// Events scheduled without an explicit shard inherit this, so work a
-  /// node schedules for itself stays on that node's shard.
-  int current_shard() const { return current_shard_; }
-
-  /// Schedule `fn` to run `delay` after now (delay >= 0) on the current
-  /// shard (see current_shard()).
-  template <typename F>
-  void schedule(SimTime delay, F&& fn) {
-    schedule_on(current_shard_, delay, std::forward<F>(fn));
-  }
-
-  /// Schedule `fn` at absolute virtual time `t` (t >= now()) on the
-  /// current shard.
-  template <typename F>
-  void schedule_at(SimTime t, F&& fn) {
-    schedule_at_on(current_shard_, t, std::forward<F>(fn));
-  }
-
-  /// Schedule `fn` to run `delay` after now on an explicit shard.
+  /// Schedule `fn` to run `delay` after now (delay >= 0).
   ///
   /// The schedule entry points are templates so the caller's lambda
   /// constructs the `Action` directly in its calendar slot: the hot path
   /// never moves a capture buffer through the call chain.
   template <typename F>
-  void schedule_on(int shard, SimTime delay, F&& fn) {
+  void schedule(SimTime delay, F&& fn) {
     HEPEX_REQUIRE(q::isfinite(delay), "event delay must be finite");
     HEPEX_REQUIRE(delay >= SimTime{}, "cannot schedule events in the past");
-    check_shard(shard);
     check_action(fn);
-    calendar_.push(now_ + delay, seq_++, shard, std::forward<F>(fn));
+    calendar_.push(now_ + delay, seq_++, std::forward<F>(fn));
   }
 
-  /// Schedule `fn` at absolute virtual time `t` on an explicit shard.
+  /// Schedule `fn` at absolute virtual time `t` (t >= now()).
   template <typename F>
-  void schedule_at_on(int shard, SimTime t, F&& fn) {
+  void schedule_at(SimTime t, F&& fn) {
     HEPEX_REQUIRE(q::isfinite(t), "event time must be finite");
     HEPEX_REQUIRE(t >= now_,
                   "cannot schedule events before the current time");
-    check_shard(shard);
     check_action(fn);
-    calendar_.push(t, seq_++, shard, std::forward<F>(fn));
+    calendar_.push(t, seq_++, std::forward<F>(fn));
   }
 
   /// Process events until the calendar drains or `max_events` is hit.
@@ -111,11 +76,10 @@ class Simulator {
   /// True when no events remain.
   bool empty() const { return calendar_.empty(); }
 
-  /// Pre-size the calendar for `pending` simultaneous events: each shard
-  /// heap gets `pending / shards()` entries of headroom and the action
-  /// pool pre-allocates `pending` slots. Call after set_shards() — the
-  /// execution engine calls this with its outstanding-event estimate to
-  /// avoid early growth reallocations.
+  /// Pre-size the calendar for `pending` simultaneous events: heap
+  /// storage and `pending` action-pool slots. The execution engine calls
+  /// this with its outstanding-event estimate to avoid early growth
+  /// reallocations.
   void reserve(std::size_t pending) { calendar_.reserve(pending); }
 
   /// Number of events scheduled over the simulator's lifetime.
@@ -131,13 +95,6 @@ class Simulator {
   CalendarStats calendar_stats() const { return calendar_.stats(); }
 
  private:
-  /// Throws on out-of-range. Inline: one predictable compare per
-  /// schedule call; the message only materializes on failure.
-  void check_shard(int shard) const {
-    HEPEX_REQUIRE(shard >= 0 && shard < shards(),
-                  "event shard out of range: " + std::to_string(shard));
-  }
-
   /// A ready-made Action may be empty; anything else callable is not.
   void check_action(const Action& fn) const {
     HEPEX_REQUIRE(static_cast<bool>(fn), "event action must be callable");
@@ -148,8 +105,7 @@ class Simulator {
   SimTime now_{0.0};
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
-  int current_shard_ = 0;
-  ShardedCalendar calendar_;
+  EventCalendar calendar_;
 };
 
 }  // namespace hepex::sim

@@ -201,18 +201,13 @@ struct Run {
   Run(const MachineSpec& m, const ProgramSpec& p, const ClusterConfig& c,
       const SimOptions& o)
       : machine(m), program(p), cfg(c), opt(o), rng(o.seed) {
-    // One calendar shard per node plus a cluster shard (index cfg.nodes)
-    // for the switch, watchdogs, crashes and checkpoints. Purely a
-    // throughput lever: event order is (time, seq)-global regardless of
-    // shard placement, so results match a single calendar bit for bit.
-    sim.set_shards(cfg.nodes + 1);
     for (int i = 0; i < cfg.nodes; ++i) {
-      mem.push_back(std::make_unique<sim::Resource>(
-          sim, "mem" + std::to_string(i), 1, i));
-      stack.push_back(std::make_unique<sim::Resource>(
-          sim, "stack" + std::to_string(i), 1, i));
+      mem.push_back(
+          std::make_unique<sim::Resource>(sim, "mem" + std::to_string(i)));
+      stack.push_back(
+          std::make_unique<sim::Resource>(sim, "stack" + std::to_string(i)));
     }
-    net = std::make_unique<sim::Resource>(sim, "switch", 1, cluster_shard());
+    net = std::make_unique<sim::Resource>(sim, "switch");
     threads.resize(static_cast<std::size_t>(cfg.nodes) * cfg.cores);
     for (int p_id = 0; p_id < cfg.nodes; ++p_id) {
       for (int t = 0; t < cfg.cores; ++t) {
@@ -235,10 +230,9 @@ struct Run {
     attach_observability();
 
     // Steady-state calendar depth: every core can have one compute chunk
-    // outstanding, plus per-node memory/stack completions and — on the
-    // cluster shard — up to a node's worth of in-flight wire transfers,
-    // watchdogs and checkpoints. reserve() spreads this over the shards
-    // and pre-allocates the action-pool slots.
+    // outstanding, plus per-node memory/stack completions and up to a
+    // node's worth of in-flight wire transfers, watchdogs and
+    // checkpoints. reserve() sizes the heap and the action pool.
     sim.reserve(static_cast<std::size_t>(cfg.nodes) *
                     (static_cast<std::size_t>(cfg.cores) + 8) +
                 64);
@@ -255,9 +249,6 @@ struct Run {
     return static_cast<int>(tid) % cfg.cores;
   }
   int cluster_pid() const { return cfg.nodes; }
-  /// Calendar shard for cluster-wide events (switch completions,
-  /// watchdogs, crashes, checkpoints, backoffs): one past the node shards.
-  int cluster_shard() const { return cfg.nodes; }
   bool is_dead(int node) const {
     return inj != nullptr && node_dead[static_cast<std::size_t>(node)] != 0;
   }
@@ -308,14 +299,14 @@ struct Run {
     node_dead.assign(static_cast<std::size_t>(cfg.nodes), 0);
     spares_left = inj->plan().recovery.spare_nodes;
     for (const auto& c : inj->plan().crashes) {
-      sim.schedule_at_on(cluster_shard(), sim::SimTime{c.at_s},
-                         [this, node = c.node] { node_crash(node); });
+      sim.schedule_at(sim::SimTime{c.at_s},
+                      [this, node = c.node] { node_crash(node); });
     }
     if (inj->plan().random_failures.node_mtbf_s > 0.0) schedule_next_failure();
   }
 
   void schedule_next_failure() {
-    sim.schedule_on(cluster_shard(), inj->next_failure_gap(), [this] {
+    sim.schedule(inj->next_failure_gap(), [this] {
       if (aborted || done()) return;
       node_crash(inj->pick_victim());
       schedule_next_failure();
@@ -337,9 +328,8 @@ struct Run {
   }
 
   void arm_watchdog() {
-    sim.schedule_on(cluster_shard(),
-                    q::Seconds{inj->plan().recovery.barrier_timeout_s},
-                    [this, e = epoch, it = iteration] { watchdog_fire(e, it); });
+    sim.schedule(q::Seconds{inj->plan().recovery.barrier_timeout_s},
+                 [this, e = epoch, it = iteration] { watchdog_fire(e, it); });
   }
 
   void watchdog_fire(int e, int it) {
@@ -403,7 +393,7 @@ struct Run {
                     {"downtime_s", downtime.value()}});
     const sim::SimTime resume_at = detect + downtime + rework;
     last_checkpoint_s = resume_at;
-    sim.schedule_at_on(cluster_shard(), resume_at, [this, e = epoch] {
+    sim.schedule_at(resume_at, [this, e = epoch] {
       if (aborted || e != epoch) return;
       begin_iteration();  // redo the hung iteration from checkpoint state
     });
@@ -427,7 +417,7 @@ struct Run {
     e_fault_j += cfg.nodes * machine.node.power.mem_active_w * w;
     last_checkpoint_s = sim.now() + w;
     span(Span::kCheckpoint, kClusterNode, sim.now(), w);
-    sim.schedule_on(cluster_shard(), w, [this, e = epoch] {
+    sim.schedule(w, [this, e = epoch] {
       if (aborted || e != epoch) return;
       begin_iteration();
     });
@@ -670,8 +660,7 @@ struct Run {
       }
     }
 
-    sim.schedule_on(t.process, eff_compute, [this, tid, eff_compute,
-                                             e = epoch] {
+    sim.schedule(eff_compute, [this, tid, eff_compute, e = epoch] {
       if (aborted || e != epoch) return;
       Thread& th = threads[tid];
       if (is_dead(th.process)) return;
@@ -787,11 +776,10 @@ struct Run {
         const q::Seconds backoff =
             q::Seconds{inj->plan().retransmit_timeout_s} *
             static_cast<double>(1u << std::min(attempt, 20));
-        sim.schedule_on(cluster_shard(), backoff,
-                        [this, dest, size, attempt, e2 = epoch] {
-                          if (aborted || e2 != epoch) return;
-                          transmit(dest, size, attempt + 1);
-                        });
+        sim.schedule(backoff, [this, dest, size, attempt, e2 = epoch] {
+          if (aborted || e2 != epoch) return;
+          transmit(dest, size, attempt + 1);
+        });
         return;
       }
       message_delivered(dest);

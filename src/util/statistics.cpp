@@ -14,24 +14,6 @@ double Summary::variance() const {
 
 double Summary::stddev() const { return std::sqrt(variance()); }
 
-void Summary::merge(const Summary& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double absolute_percentage_error(double predicted, double measured) {
   HEPEX_REQUIRE(measured != 0.0, "measured value must be nonzero");
   return std::abs(predicted - measured) / std::abs(measured) * 100.0;

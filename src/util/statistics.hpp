@@ -43,9 +43,6 @@ class Summary {
   /// Sum of all samples.
   double sum() const { return sum_; }
 
-  /// Merge another summary into this one (parallel-reduction friendly).
-  void merge(const Summary& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -66,10 +65,6 @@ std::string Table::to_csv() const {
   emit(headers_);
   for (const auto& row : rows_) emit(row);
   return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const Table& t) {
-  return os << t.to_text();
 }
 
 std::string fmt(double value, int digits) {

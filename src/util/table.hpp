@@ -6,7 +6,6 @@
 /// which right-aligns numeric columns and supports a fixed precision per
 /// column, plus an optional CSV dump for plotting.
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -31,9 +30,6 @@ class Table {
 
   /// Render as RFC-4180-ish CSV (cells containing commas/quotes are quoted).
   std::string to_csv() const;
-
-  /// Write the text rendering to a stream.
-  friend std::ostream& operator<<(std::ostream& os, const Table& t);
 
  private:
   std::vector<std::string> headers_;

@@ -50,15 +50,6 @@ TEST(TraceSink, CompleteEventCarriesMicrosecondTimes) {
   EXPECT_DOUBLE_EQ(e.at("dur").number, 0.25e6);
 }
 
-TEST(TraceSink, CompleteEndRecoversStart) {
-  obs::TraceSink sink;
-  sink.complete_end(0, 0, "span", "c", /*end_s=*/2.0, /*dur_s=*/0.5);
-  const auto doc = dump(sink);
-  const auto& e = doc.at("traceEvents").array[0];
-  EXPECT_DOUBLE_EQ(e.at("ts").number, 1.5e6);
-  EXPECT_DOUBLE_EQ(e.at("dur").number, 0.5e6);
-}
-
 TEST(TraceSink, NegativeDurationClampedToZero) {
   obs::TraceSink sink;
   sink.complete(0, 0, "span", "c", 1.0, -0.5);

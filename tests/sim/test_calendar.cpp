@@ -1,10 +1,11 @@
-// Adversarial tests for the sharded calendar (sim/calendar.hpp): the
-// determinism contract says pop order is *identical* to one global
-// (time, seq) priority queue no matter how events are spread over
-// shards, through every structural edge — ties, monotone bursts,
-// far-future stragglers, shards draining and refilling, and the
-// deferred-root fix-up on the pop→push-same-shard hot path. A reference
-// model (stable sort by (time, seq)) is the oracle throughout.
+// Adversarial tests for the event calendar (sim/calendar.hpp): the
+// determinism contract says pop order is exactly the (time, seq) order of
+// a reference priority queue, through every structural edge — ties,
+// monotone bursts, far-future stragglers, draining and refilling, and
+// actions that push while they fire. A reference model (stable sort by
+// (time, seq), or an ordered set fed the same pushes) is the oracle
+// throughout. The suite keeps its `ShardedCalendar` name so its test ids
+// stay stable across the calendar's redesign.
 
 #include "sim/calendar.hpp"
 
@@ -13,7 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -39,9 +40,29 @@ std::vector<std::uint64_t> reference_order(std::vector<Ref> refs) {
   return order;
 }
 
+/// Oracle for interleaved push/pop: an ordered set of pending
+/// (time, seq) keys that also tracks its largest size.
+class RefQueue {
+ public:
+  void push(double time, std::uint64_t seq) {
+    keys_.emplace(time, seq);
+    max_size_ = std::max(max_size_, keys_.size());
+  }
+  std::pair<double, std::uint64_t> pop() {
+    const auto k = *keys_.begin();
+    keys_.erase(keys_.begin());
+    return k;
+  }
+  std::size_t max_size() const { return max_size_; }
+
+ private:
+  std::set<std::pair<double, std::uint64_t>> keys_;
+  std::size_t max_size_ = 0;
+};
+
 /// Drain the calendar, releasing each action; returns pop order as seqs
 /// (the payload each pushed action records).
-std::vector<std::uint64_t> drain(ShardedCalendar& cal,
+std::vector<std::uint64_t> drain(EventCalendar& cal,
                                  std::vector<std::uint64_t>& fired) {
   fired.clear();
   double last_time = -1.0;
@@ -57,167 +78,189 @@ std::vector<std::uint64_t> drain(ShardedCalendar& cal,
   return fired;
 }
 
-/// Push `refs` into `cal` round-robin-keyed by `shard_of`, then drain and
-/// compare against the oracle.
-template <typename ShardOf>
-void check_equivalence(int shards, const std::vector<Ref>& refs,
-                       ShardOf shard_of) {
-  ShardedCalendar cal;
-  cal.set_shards(shards);
+/// Push `refs` into a fresh calendar, then drain and compare against the
+/// oracle.
+void check_equivalence(const std::vector<Ref>& refs) {
+  EventCalendar cal;
   std::vector<std::uint64_t> fired;
   for (const Ref& r : refs) {
     const std::uint64_t seq = r.seq;
-    cal.push(q::Seconds{r.time}, r.seq, shard_of(r),
+    cal.push(q::Seconds{r.time}, r.seq,
              [&fired, seq] { fired.push_back(seq); });
   }
   EXPECT_EQ(cal.size(), refs.size());
   const auto got = drain(cal, fired);
-  EXPECT_EQ(got, reference_order(refs)) << "shards=" << shards;
+  EXPECT_EQ(got, reference_order(refs));
   EXPECT_TRUE(cal.empty());
+  EXPECT_EQ(cal.stats().peak_pending, refs.size());
 }
 
 TEST(ShardedCalendar, RandomizedMatchesReferenceAcrossShardCounts) {
-  // Random times drawn from a small set so cross-shard ties are common,
-  // random shard assignment — the general case of the equivalence claim.
-  for (const int shards : {1, 2, 3, 8, 64}) {
-    util::Rng rng{42u + static_cast<std::uint64_t>(shards)};
+  // Random times drawn from a small set so ties are common — the general
+  // case of the equivalence claim, over several seeds.
+  for (const std::uint64_t seed : {43u, 44u, 45u, 50u, 106u}) {
+    util::Rng rng{seed};
     std::vector<Ref> refs;
-    std::vector<int> shard_of;
     for (std::uint64_t seq = 0; seq < 500; ++seq) {
       refs.push_back(Ref{static_cast<double>(rng() % 23) * 0.5, seq});
-      shard_of.push_back(static_cast<int>(rng() % static_cast<std::uint64_t>(
-          shards)));
     }
-    check_equivalence(shards, refs,
-                      [&](const Ref& r) { return shard_of[r.seq]; });
+    check_equivalence(refs);
   }
 }
 
 TEST(ShardedCalendar, AllTiedTimesPopInSeqOrder) {
-  // Every event at the same instant, scattered over shards: FIFO by seq
-  // is the whole order, and every comparison exercises the tie-break.
-  for (const int shards : {1, 3, 8, 64}) {
-    std::vector<Ref> refs;
-    for (std::uint64_t seq = 0; seq < 200; ++seq) {
-      refs.push_back(Ref{1.0, seq});
-    }
-    check_equivalence(shards, refs, [&](const Ref& r) {
-      return static_cast<int>(r.seq % static_cast<std::uint64_t>(shards));
-    });
+  // Every event at the same instant: FIFO by seq is the whole order, and
+  // every comparison exercises the tie-break.
+  std::vector<Ref> refs;
+  for (std::uint64_t seq = 0; seq < 200; ++seq) {
+    refs.push_back(Ref{1.0, seq});
   }
+  check_equivalence(refs);
 }
 
 TEST(ShardedCalendar, MonotoneBurstRoundRobin) {
-  // Strictly increasing times round-robin over shards — each push lands
-  // at the bottom of its shard heap and each pop rotates the head heap.
-  for (const int shards : {2, 8, 64}) {
-    std::vector<Ref> refs;
-    for (std::uint64_t seq = 0; seq < 300; ++seq) {
-      refs.push_back(Ref{static_cast<double>(seq), seq});
-    }
-    check_equivalence(shards, refs, [&](const Ref& r) {
-      return static_cast<int>(r.seq % static_cast<std::uint64_t>(shards));
-    });
+  // Strictly increasing times: each push lands at the bottom of the heap
+  // and each pop sinks the last key from the root.
+  std::vector<Ref> refs;
+  for (std::uint64_t seq = 0; seq < 300; ++seq) {
+    refs.push_back(Ref{static_cast<double>(seq), seq});
   }
+  check_equivalence(refs);
 }
 
 TEST(ShardedCalendar, InterleavedFarFuture) {
-  // A block of far-future events first (they sit at every shard head),
-  // then near-term events that must overtake them shard by shard.
-  for (const int shards : {1, 2, 8, 64}) {
-    std::vector<Ref> refs;
-    std::uint64_t seq = 0;
-    for (int i = 0; i < 64; ++i) {
-      refs.push_back(Ref{1e9 + static_cast<double>(i), seq});
-      ++seq;
-    }
-    for (int i = 0; i < 200; ++i) {
-      refs.push_back(Ref{static_cast<double>(i % 17), seq});
-      ++seq;
-    }
-    check_equivalence(shards, refs, [&](const Ref& r) {
-      return static_cast<int>(r.seq % static_cast<std::uint64_t>(shards));
-    });
+  // A block of far-future events first, then near-term events that must
+  // overtake them.
+  std::vector<Ref> refs;
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 64; ++i) {
+    refs.push_back(Ref{1e9 + static_cast<double>(i), seq});
+    ++seq;
   }
+  for (int i = 0; i < 200; ++i) {
+    refs.push_back(Ref{static_cast<double>(i % 17), seq});
+    ++seq;
+  }
+  check_equivalence(refs);
 }
 
 TEST(ShardedCalendar, ReentrantPushDuringDrain) {
-  // The engine's actual shape: each fired action schedules follow-ups,
-  // mostly onto its *own* shard — the deferred-root path where a pop's
-  // sink is overwritten in place by the next same-shard push — plus a
-  // cross-shard hop. Oracle: a side-by-side single-shard calendar fed
-  // the identical schedule.
-  const auto run = [](int shards) {
-    ShardedCalendar cal;
-    cal.set_shards(shards);
-    std::vector<std::pair<double, std::uint64_t>> fired;
-    std::uint64_t seq = 0;
-    // A fixed set of chain starters (independent of shard count, so the
-    // runs are comparable), spread over the shards that exist.
-    constexpr int kChains = 8;
-    for (int s = 0; s < kChains; ++s) {
-      struct Chain {
-        ShardedCalendar* cal;
-        std::vector<std::pair<double, std::uint64_t>>* fired;
-        std::uint64_t* seq;
-        int shard;
-        int shards;
-        double time;
-        int depth;
-        void operator()() const {
-          fired->emplace_back(time, *seq);
-          if (depth >= 6) return;
-          Chain next = *this;
-          next.depth = depth + 1;
-          // Same-shard follow-up (the hot path)...
-          next.time = time + 1.0;
-          cal->push(q::Seconds{next.time}, (*seq)++, shard, next);
-          // ...and a cross-shard hop at a tied timestamp.
-          Chain hop = next;
-          hop.shard = (shard + 1) % shards;
-          cal->push(q::Seconds{hop.time}, (*seq)++, hop.shard, hop);
-        }
-      };
-      const double t0 = 0.25 * static_cast<double>(s % 3);
-      const int shard = s % shards;
-      cal.push(q::Seconds{t0}, seq, shard,
-               Chain{&cal, &fired, &seq, shard, shards, t0, 0});
-      ++seq;
+  // The engine's actual shape: each fired action schedules follow-ups
+  // while it runs — one a step later and one at a tied timestamp. Oracle:
+  // a reference queue fed the identical pushes, checked pop by pop.
+  EventCalendar cal;
+  RefQueue ref;
+  std::vector<std::pair<double, std::uint64_t>> fired;
+  std::uint64_t seq = 0;
+  struct Chain {
+    EventCalendar* cal;
+    RefQueue* ref;
+    std::vector<std::pair<double, std::uint64_t>>* fired;
+    std::uint64_t* seq;
+    double time;
+    std::uint64_t own_seq;
+    int depth;
+    void push(const Chain& c) const {
+      Chain next = c;
+      next.own_seq = (*seq)++;
+      ref->push(next.time, next.own_seq);
+      cal->push(q::Seconds{next.time}, next.own_seq, next);
     }
-    std::vector<std::pair<double, std::uint64_t>> order;
-    while (!cal.empty()) {
-      const auto ev = cal.pop();
-      cal.run_slot(ev.slot);
-      cal.release_slot(ev.slot);
-      order.push_back(fired.back());
+    void operator()() const {
+      fired->emplace_back(time, own_seq);
+      if (depth >= 6) return;
+      Chain next = *this;
+      next.depth = depth + 1;
+      next.time = time + 1.0;
+      push(next);  // a later follow-up...
+      push(next);  // ...and a second one tied with it
     }
-    return order;
   };
-  const auto mono = run(1);
-  for (const int shards : {2, 8, 64}) {
-    // Shard counts differ, so seq assignment differs between runs; the
-    // invariant is the fire-time sequence, which must be identical.
-    const auto sharded = run(shards);
-    ASSERT_EQ(sharded.size(), mono.size());
-    for (std::size_t i = 0; i < mono.size(); ++i) {
-      EXPECT_EQ(sharded[i].first, mono[i].first)
-          << "shards=" << shards << " i=" << i;
+  constexpr int kChains = 8;
+  for (int s = 0; s < kChains; ++s) {
+    const Chain start{&cal, &ref, &fired, &seq,
+                      0.25 * static_cast<double>(s % 3), 0, 0};
+    start.push(start);
+  }
+  std::size_t pops = 0;
+  while (!cal.empty()) {
+    const auto ev = cal.pop();
+    const auto want = ref.pop();
+    cal.run_slot(ev.slot);
+    cal.release_slot(ev.slot);
+    ASSERT_EQ(fired.size(), pops + 1);
+    EXPECT_EQ(fired.back(), want) << "pop " << pops;
+    EXPECT_EQ(ev.time.value(), want.first) << "pop " << pops;
+    ++pops;
+  }
+  // 8 chains, each a binary tree of depth 6: 8 * (2^7 - 1) events.
+  EXPECT_EQ(pops, 8u * 127u);
+  EXPECT_EQ(cal.stats().peak_pending, ref.max_size());
+}
+
+TEST(ShardedCalendar, DeepTiedMonotoneRunsMatchReferencePopByPop) {
+  // The switch queue at 1000 nodes: many FCFS stations each hold a
+  // monotone run of completion times with a few shared service times, so
+  // exact-time ties across runs are everywhere and >10k keys are pending
+  // at once. Each fired event also re-queues a follow-up at its station's
+  // tail, the way a busy station starts its next job.
+  EventCalendar cal;
+  RefQueue ref;
+  std::uint64_t seq = 0;
+  std::vector<std::pair<double, std::uint64_t>> fired;
+  std::vector<double> tail;  // last completion time per station
+  const auto push = [&](double time) {
+    const std::uint64_t s = seq++;
+    ref.push(time, s);
+    cal.push(q::Seconds{time}, s,
+             [&fired, time, s] { fired.emplace_back(time, s); });
+  };
+  constexpr int kStations = 160;
+  constexpr int kRun = 80;  // 160 * 80 = 12,800 pending keys
+  util::Rng rng{7};
+  tail.assign(kStations, 0.0);
+  for (int j = 0; j < kRun; ++j) {
+    for (int st = 0; st < kStations; ++st) {
+      // Service times are multiples of 0.25 (exactly representable), so
+      // equal sums land on identical doubles across stations.
+      tail[static_cast<std::size_t>(st)] +=
+          0.25 * static_cast<double>(1 + rng() % 3);
+      push(tail[static_cast<std::size_t>(st)]);
     }
   }
+  ASSERT_GE(cal.size(), 10'000u);
+  std::size_t pops = 0;
+  double last_time = -1.0;
+  while (!cal.empty()) {
+    const auto ev = cal.pop();
+    const auto want = ref.pop();
+    cal.run_slot(ev.slot);
+    cal.release_slot(ev.slot);
+    ASSERT_EQ(fired.back(), want) << "pop " << pops;
+    ASSERT_GE(ev.time.value(), last_time);
+    last_time = ev.time.value();
+    if (pops % 3 == 0 && pops < 30'000) {
+      auto& t = tail[static_cast<std::size_t>(pops % kStations)];
+      t = std::max(t, ev.time.value()) + 0.25;
+      push(t);
+    }
+    ++pops;
+  }
+  EXPECT_EQ(pops, seq);
+  EXPECT_EQ(cal.stats().peak_pending, ref.max_size());
+  EXPECT_EQ(cal.stats().slot_acquires, seq);
 }
 
 TEST(ShardedCalendar, DrainAndRefill) {
-  // Empty shards keep +inf sentinels in the head heap; draining to empty
-  // and refilling must behave like a fresh calendar.
-  ShardedCalendar cal;
-  cal.set_shards(8);
+  // Draining to empty and refilling must behave like a fresh calendar.
+  EventCalendar cal;
   std::vector<std::uint64_t> fired;
   for (int round = 0; round < 3; ++round) {
     std::vector<Ref> refs;
     for (std::uint64_t i = 0; i < 50; ++i) {
       const auto seq = static_cast<std::uint64_t>(round) * 1000 + i;
       refs.push_back(Ref{static_cast<double>(i % 7), seq});
-      cal.push(q::Seconds{refs.back().time}, seq, static_cast<int>(i % 8),
+      cal.push(q::Seconds{refs.back().time}, seq,
                [&fired, seq] { fired.push_back(seq); });
     }
     EXPECT_EQ(drain(cal, fired), reference_order(refs)) << "round=" << round;
@@ -232,15 +275,14 @@ TEST(ShardedCalendar, DrainAndRefill) {
 }
 
 TEST(ShardedCalendar, ReservePresizesPool) {
-  ShardedCalendar cal;
-  cal.set_shards(4);
+  EventCalendar cal;
   cal.reserve(200);
   EXPECT_GE(cal.stats().slot_chunks, 4u);  // ceil(200 / 64) chunks up front
   std::vector<std::uint64_t> fired;
   std::vector<Ref> refs;
   for (std::uint64_t seq = 0; seq < 200; ++seq) {
     refs.push_back(Ref{static_cast<double>(seq % 11), seq});
-    cal.push(q::Seconds{refs.back().time}, seq, static_cast<int>(seq % 4),
+    cal.push(q::Seconds{refs.back().time}, seq,
              [&fired, seq] { fired.push_back(seq); });
   }
   const auto chunks_after_reserve = cal.stats().slot_chunks;
@@ -249,32 +291,14 @@ TEST(ShardedCalendar, ReservePresizesPool) {
       << "pushes after reserve() must not grow the pool";
 }
 
-TEST(ShardedCalendar, SetShardsPreconditions) {
-  ShardedCalendar cal;
-  EXPECT_THROW(cal.set_shards(0), std::invalid_argument);
-  EXPECT_THROW(cal.set_shards(-3), std::invalid_argument);
-  EXPECT_THROW(cal.set_shards(65537), std::invalid_argument);
-  cal.set_shards(65536);  // the packed-head limit itself is legal
-  cal.set_shards(2);
-  cal.push(q::Seconds{1.0}, 0, 1, [] {});
-  EXPECT_THROW(cal.set_shards(4), std::invalid_argument)
-      << "shard count must be frozen while events are pending";
-  const auto ev = cal.pop();
-  cal.release_slot(ev.slot);
-  cal.set_shards(4);  // legal again once drained
-  EXPECT_EQ(cal.shards(), 4);
-}
-
 TEST(ShardedCalendar, PendingActionsDestroyedOnCalendarDrop) {
   // Dropping a calendar with parked actions must run their destructors
   // (the ActionPool unwind path); a shared_ptr refcount is the witness.
   auto token = std::make_shared<int>(7);
   {
-    ShardedCalendar cal;
-    cal.set_shards(3);
+    EventCalendar cal;
     for (std::uint64_t seq = 0; seq < 10; ++seq) {
-      cal.push(q::Seconds{1.0}, seq, static_cast<int>(seq % 3),
-               [token] { (void)*token; });
+      cal.push(q::Seconds{1.0}, seq, [token] { (void)*token; });
     }
     EXPECT_EQ(token.use_count(), 11);
   }

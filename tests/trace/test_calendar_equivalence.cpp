@@ -1,5 +1,6 @@
-// Calendar-equivalence suite: the sharded-calendar engine must produce
-// bit-identical Measurements to the pre-sharding global-calendar engine.
+// Calendar-equivalence suite: the engine on its current calendar must
+// produce bit-identical Measurements to the original global-calendar
+// engine.
 //
 // The golden files under tests/trace/golden/ were generated by the
 // single-priority-queue engine (PR 8 HEAD) via HEPEX_REGEN_GOLDEN=1 and

@@ -1,10 +1,10 @@
 // 1000-node scale-out smoke test. The paper's clusters stop at 8 nodes;
-// the sharded calendar is what lets the engine run three orders of
+// the event calendar is what lets the engine run three orders of
 // magnitude past that. This suite runs a short 1000-node simulation in
 // every build flavour — including the ASan/UBSan and TSan trees, where
-// the per-node calendar indexing, arena slot recycling and head-heap
-// bookkeeping get checked for memory errors — and pins determinism at
-// that scale (two identical runs, bit-identical Measurements).
+// the calendar heap, arena slot recycling and resource slabs get checked
+// for memory errors — and pins determinism at that scale (two identical
+// runs, bit-identical Measurements).
 
 #include <gtest/gtest.h>
 
@@ -43,8 +43,8 @@ TEST(ScaleoutSmoke, ThousandNodesCompletes) {
   EXPECT_EQ(m.outcome, RunOutcome::kCompleted);
   EXPECT_GT(m.time_s, q::Seconds{});
   ASSERT_EQ(m.per_node.size(), 1000u);
-  // Every node computed something: the sharded calendar did not strand
-  // any node's events.
+  // Every node computed something: the calendar did not strand any
+  // node's events.
   for (const auto& nu : m.per_node) {
     EXPECT_GT(nu.compute_s, q::Seconds{});
   }

@@ -150,9 +150,10 @@ TEST(JsonNumbers, DecimalScaledValuesMatchThePrintfLayout) {
     for (int d = 1; d < digits; ++d) mantissa = 10 * mantissa + rng.next() % 10;
     const int span = i % 8 == 0 ? 640 : 40;
     const int exponent = static_cast<int>(rng.next() % span) - span / 2;
-    const std::string text = (rng.next() % 2 == 0 ? "" : "-") +
-                             std::to_string(mantissa) + "e" +
-                             std::to_string(exponent);
+    std::string text = rng.next() % 2 == 0 ? "" : "-";
+    text += std::to_string(mantissa);
+    text += 'e';
+    text += std::to_string(exponent);
     const double v = std::strtod(text.c_str(), nullptr);
     if (!std::isfinite(v)) continue;
     if (!formats_like_printf(v)) ++misses;

@@ -58,36 +58,6 @@ TEST(Summary, WelfordMatchesTwoPassOnManySamples) {
   EXPECT_NEAR(s.variance(), var, 1e-6);
 }
 
-TEST(Summary, MergeEqualsSequential) {
-  Summary a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::cos(i) * 10.0;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmptyIsIdentity) {
-  Summary a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-
-  Summary c;
-  c.merge(a);
-  EXPECT_EQ(c.count(), 2u);
-  EXPECT_DOUBLE_EQ(c.mean(), mean);
-}
-
 TEST(ErrorMetrics, AbsolutePercentageError) {
   EXPECT_DOUBLE_EQ(absolute_percentage_error(110.0, 100.0), 10.0);
   EXPECT_DOUBLE_EQ(absolute_percentage_error(90.0, 100.0), 10.0);

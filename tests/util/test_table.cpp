@@ -63,14 +63,6 @@ TEST(Table, CsvEscapesCommasAndQuotes) {
   EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
 }
 
-TEST(Table, StreamOperatorMatchesToText) {
-  Table t({"h"});
-  t.add_row({"v"});
-  std::ostringstream os;
-  os << t;
-  EXPECT_EQ(os.str(), t.to_text());
-}
-
 TEST(Fmt, RespectsDigits) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(3.14159, 0), "3");

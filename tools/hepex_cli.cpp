@@ -266,6 +266,21 @@ int cmd_advise(const util::CliArgs& args) {
                   deadline.value());
     }
   }
+  if (const auto braw = args.get("budget")) {
+    const q::Joules budget = util::parse_energy(*braw);
+    if (const auto rec = advisor.for_budget(budget)) {
+      std::printf("budget %.0f J: %s (%.2f s, %.3f kJ)\n", budget.value(),
+                  util::fmt_config(rec->point.config.nodes,
+                                   rec->point.config.cores,
+                                   rec->point.config.f_hz.value() / 1e9)
+                      .c_str(),
+                  rec->point.time_s.value(),
+                  rec->point.energy_j.value() / 1e3);
+    } else {
+      std::printf("budget %.0f J: no configuration fits it\n",
+                  budget.value());
+    }
+  }
   return 0;
 }
 
