@@ -13,8 +13,8 @@
 /// `core::Advisor::from_scenario`.
 ///
 /// Reference-plus-override model: a scenario names a platform preset and
-/// a program from the registries (`hw::machine_names()`,
-/// `workload::program_names()`) and optionally overrides individual
+/// a program from the registries (`hw::machine_names()`, the workload
+/// sources of workload/source.hpp) and optionally overrides individual
 /// fields. Precedence, lowest to highest: registry default < scenario
 /// field < CLI flag (see docs/scenarios.md).
 ///
@@ -87,8 +87,8 @@ struct Scenario {
   /// The resolved machine: preset (when named) with overrides applied.
   hw::MachineSpec machine;
 
-  /// Workload program reference: a registry key ("LU", "SP", ... see
-  /// workload::program_names) or a source-prefixed reference
+  /// Workload program reference: an analytic registry key ("LU", "SP",
+  /// ... — the analytic source's refs()) or a source-prefixed reference
   /// ("trace:run.trace", "synthetic:ai=60" — workload/source.hpp). Empty
   /// when the scenario sweeps a synthetic grid instead.
   std::string program_name = "SP";

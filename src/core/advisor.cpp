@@ -18,10 +18,25 @@ Advisor::Advisor(hw::MachineSpec machine, workload::ProgramSpec program,
 
 Advisor Advisor::from_scenario(const cfg::Scenario& scenario,
                                model::CharacterizationOptions options) {
+  return Advisor(scenario.machine, scenario.program,
+                 characterization_options(scenario, options));
+}
+
+model::CharacterizationOptions characterization_options(
+    const cfg::Scenario& scenario, model::CharacterizationOptions options) {
+  using workload::InputClass;
+  const InputClass target = scenario.program.input;
+  if (target == InputClass::kS) {
+    fail_require(
+        "workload.class: class S has no smaller input class to "
+        "characterize on; advice and validation need class W or larger");
+  }
+  options.baseline_class =
+      target == InputClass::kW ? InputClass::kS : InputClass::kW;
   options.sim.chunks_per_iteration = scenario.sim.chunks_per_iteration;
   options.sim.jitter_cv = scenario.sim.jitter_cv;
   options.sim.seed = scenario.sim.seed;
-  return Advisor(scenario.machine, scenario.program, options);
+  return options;
 }
 
 Advisor::Advisor(hw::MachineSpec machine, workload::ProgramSpec program,

@@ -61,10 +61,10 @@ class Advisor {
   Advisor(hw::MachineSpec machine, workload::ProgramSpec program,
           model::CharacterizationOptions options = {});
 
-  /// An advisor for a scenario's resolved machine and program. The
-  /// scenario's sim settings seed the characterization's baseline runs,
-  /// so two scenarios that differ only in presentation (flags vs file)
-  /// produce bit-identical advice.
+  /// An advisor for a scenario's resolved machine and program, with
+  /// `characterization_options(scenario, options)`: two scenarios that
+  /// differ only in presentation (flags vs file) produce bit-identical
+  /// advice. Throws std::invalid_argument for a class-S program.
   static Advisor from_scenario(const cfg::Scenario& scenario,
                                model::CharacterizationOptions options = {});
 
@@ -155,5 +155,13 @@ class Advisor {
   std::optional<std::vector<pareto::ConfigPoint>> frontier_;
   model::PredictionCache cache_;  ///< memo for ad-hoc predict() queries
 };
+
+/// Characterization options for a scenario: its sim settings seed the
+/// baseline runs, and the baseline input class is W for a program above
+/// class W and S for a class-W program. Class S has no smaller class to
+/// characterize on, so it throws std::invalid_argument naming
+/// `workload.class`.
+model::CharacterizationOptions characterization_options(
+    const cfg::Scenario& scenario, model::CharacterizationOptions options = {});
 
 }  // namespace hepex::core

@@ -132,12 +132,8 @@ void validate_sweep(const cfg::Scenario& s,
       });
     }
   }
-  model::CharacterizationOptions options;
-  options.sim.chunks_per_iteration = s.sim.chunks_per_iteration;
-  options.sim.jitter_cv = s.sim.jitter_cv;
-  options.sim.seed = s.sim.seed;
-  const ValidationReport& v = r.validation.emplace(
-      validate(s.machine, s.program, configs, options, s.jobs));
+  const ValidationReport& v = r.validation.emplace(validate(
+      s.machine, s.program, configs, characterization_options(s), s.jobs));
   summary.set("configs", static_cast<int>(v.rows.size()));
   summary.set("time_error_mean_pct", v.time_error.mean());
   summary.set("time_error_max_pct", v.time_error.max());

@@ -293,10 +293,6 @@ std::vector<ProgramSpec> extended_programs(InputClass cls) {
 // `"synthetic:ai=60"` — so every consumer that already goes through this
 // function gains the new sources with zero per-consumer code.
 
-std::vector<std::string> program_names() {
-  return source_by_name("analytic").refs();
-}
-
 ProgramSpec program_by_name(const std::string& name, InputClass cls) {
   return resolve_program(name, cls).program;
 }

@@ -58,13 +58,6 @@ ProgramSpec make_cg(InputClass cls = InputClass::kA);
 /// The full extended suite: the paper's five plus MG, FT, CG.
 std::vector<ProgramSpec> extended_programs(InputClass cls = InputClass::kA);
 
-/// Resolvable analytic program names: the built-ins in the paper's table
-/// order plus the extensions ("LU", "SP", "BT", "CP", "LB", "MG", "FT",
-/// "CG"), followed by any programs registered through
-/// `workload::register_program`. A `cfg::Scenario` references workloads
-/// by these names.
-std::vector<std::string> program_names();
-
 /// Resolve a program reference. Bare names look up the analytic registry
 /// key; `source:`-prefixed references dispatch to that workload source
 /// (`"trace:run.trace"`, `"synthetic:ai=60"` — see workload/source.hpp).

@@ -107,8 +107,8 @@ class AnalyticSource final : public Source {
     const char* name;
     ProgramSpec (*factory)(InputClass);
   };
-  /// The paper's table order plus extensions — the same order
-  /// `program_names()` has always reported.
+  /// The paper's table order plus extensions — the order `refs()` and
+  /// `hepex workload list` report.
   static constexpr Factory kFactories[] = {
       {"LU", make_lu}, {"SP", make_sp}, {"BT", make_bt}, {"CP", make_cp},
       {"LB", make_lb}, {"MG", make_mg}, {"FT", make_ft}, {"CG", make_cg},

@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
-# Pins that `hepex advise --budget J` answers, and answers what
-# `hepex recommend --budget J` answers: the fastest configuration whose
-# energy fits the budget, or a plain "no configuration" line. Usage:
+# Pins that `hepex advise --budget J --deadline S` answers from the
+# frontier table the same run prints: the budget picks the fastest row
+# whose energy fits it, the deadline the least-energy row that meets it,
+# and an infeasible budget or deadline gets a plain "no configuration"
+# line. Usage:
 #
 #   advise_budget.sh <hepex-binary>
 set -eu
@@ -13,24 +15,56 @@ trap 'rm -rf "$tmp"' EXIT
 
 run="--machine xeon --program SP --class A"
 
-# 1. A feasible budget: advise prints the recommend answer's configuration.
-# shellcheck disable=SC2086
-"$hepex" advise $run --budget 50kJ > "$tmp/advise.txt"
-# shellcheck disable=SC2086
-"$hepex" recommend $run --budget 50kJ > "$tmp/recommend.txt"
-want=$(sed -n 's/^budget 50000 J -> \([^:]*\):.*/\1/p' "$tmp/recommend.txt")
-got=$(sed -n 's/^budget 50000 J: \(([^)]*)\) .*/\1/p' "$tmp/advise.txt")
-if [ -z "$want" ] || [ "$got" != "$want" ]; then
-  echo "FAIL: advise --budget answered '$got', recommend answered '$want'" >&2
-  cat "$tmp/advise.txt" "$tmp/recommend.txt" >&2
-  exit 1
-fi
+# pick FILTER KEY LIMIT: the configuration of the printed frontier row
+# ("| (n,c,f) | time [s] | energy [kJ] | UCR |") with the lowest KEY
+# (time or energy) among the rows whose FILTER (energy in J, or time in
+# s) is within LIMIT.
+pick() {
+  awk -F'|' -v filter="$1" -v key="$2" -v limit="$3" '
+    $2 ~ /^ \([0-9]/ {
+      t = $3 + 0; e = $4 + 0
+      ok = (filter == "energy") ? (e * 1000 <= limit) : (t <= limit)
+      v = (key == "time") ? t : e
+      if (ok && (best == "" || v < bestv)) { best = $2; bestv = v }
+    }
+    END { gsub(/ /, "", best); print best }
+  ' "$tmp/advise.txt"
+}
 
-# 2. An infeasible budget is answered, not ignored.
+check() {
+  budget_j=$1
+  deadline_s=$2
+  # shellcheck disable=SC2086
+  "$hepex" advise $run --budget "${budget_j}J" --deadline "$deadline_s" \
+    > "$tmp/advise.txt"
+  want_b=$(pick energy time "$budget_j")
+  got_b=$(sed -n "s/^budget $budget_j J: \(([^)]*)\) .*/\1/p" \
+    "$tmp/advise.txt")
+  want_d=$(pick time energy "$deadline_s")
+  got_d=$(sed -n "s/^deadline $deadline_s\.0 s: \(([^)]*)\) .*/\1/p" \
+    "$tmp/advise.txt")
+  if [ -z "$want_b" ] || [ "$got_b" != "$want_b" ] ||
+     [ -z "$want_d" ] || [ "$got_d" != "$want_d" ]; then
+    echo "FAIL: budget $budget_j J answered '$got_b', table says" \
+         "'$want_b'; deadline $deadline_s s answered '$got_d'," \
+         "table says '$want_d'" >&2
+    cat "$tmp/advise.txt" >&2
+    exit 1
+  fi
+}
+
+# 1. Feasible budgets and deadlines agree with the printed frontier.
+check 50000 60
+check 10000 15
+check 7500 25
+
+# 2. An infeasible budget and deadline are answered, not ignored; advise
+#    still exits 0.
 # shellcheck disable=SC2086
-"$hepex" advise $run --budget 1J > "$tmp/none.txt"
-grep -q '^budget 1 J: no configuration fits it$' "$tmp/none.txt" || {
-  echo "FAIL: advise --budget 1J did not report an infeasible budget" >&2
+"$hepex" advise $run --budget 1J --deadline 1 > "$tmp/none.txt"
+grep -q '^budget 1 J: no configuration fits it$' "$tmp/none.txt" &&
+  grep -q '^deadline 1\.0 s: no configuration meets it$' "$tmp/none.txt" || {
+  echo "FAIL: advise did not report an infeasible budget and deadline" >&2
   cat "$tmp/none.txt" >&2
   exit 1
 }

@@ -207,9 +207,9 @@ TEST(Server, RunMethodsAnswerWhatCoreRunBuilds) {
   // Each run-method's result must be the report core::run builds under
   // the daemon's overrides (no obs outputs, jobs 0, no host section), so
   // no hand-built path can drift from the CLI's. simulate runs xeon.json
-  // at class S; advise and validate need a class above the class-W
-  // characterization baseline, so they keep its class A, and validate
-  // sweeps physical node counts only.
+  // at class S; advise and validate keep its class A (class S has no
+  // smaller class to characterize on), and validate sweeps physical node
+  // counts only.
   struct Case {
     const char* method;
     core::Method run_as;
@@ -234,6 +234,23 @@ TEST(Server, RunMethodsAnswerWhatCoreRunBuilds) {
               util::json::dump_compact(
                   core::run(s, c.run_as).report.to_json_value()))
         << c.method;
+  }
+  server.stop();
+}
+
+TEST(Server, ClassSAdviceIsABadRequestNamingTheClass) {
+  // Advice and validation characterize on a smaller input class; class S
+  // has none, so the daemon refuses both, naming the scenario field.
+  Server server(tcp_config());
+  server.start();
+  Client client = Client::connect_tcp_socket(server.port());
+  for (const char* method : {"advise", "validate"}) {
+    const Response r =
+        client.call(make(method, method, xeon_scenario("S", nullptr)));
+    EXPECT_FALSE(r.ok) << method;
+    EXPECT_EQ(r.code, ErrorCode::kBadRequest) << method;
+    EXPECT_NE(r.message.find("workload.class"), std::string::npos)
+        << method << ": " << r.message;
   }
   server.stop();
 }

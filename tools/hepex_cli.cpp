@@ -1,47 +1,18 @@
 // hepex — command-line front end to the HEPEX library.
 //
-// Every command accepts `--scenario file.json` — a declarative Scenario
-// document (docs/scenarios.md) that names the platform, workload, sweep
-// space, fault plan, simulator options and observability outputs in one
-// artifact. The remaining flags are overrides layered on top; precedence
-// is CLI flag > scenario field > registry default.
-//
-// Usage:
-//   hepex advise      --scenario s.json  (or --machine xeon --program SP)
-//   hepex frontier    --machine xeon|arm --program SP [--class A]
-//   hepex recommend   --machine xeon --program SP --deadline 60
-//   hepex recommend   --machine xeon --program SP --budget 5000
-//   hepex simulate    --machine xeon --program SP --n 4 --c 8 --f 1.8
-//   hepex validate    --machine arm  --program CP [--class A]
-//   hepex netchar     --machine arm
-//   hepex report      --machine xeon --program SP
-//   hepex whatif      --machine xeon --program SP --membw 2 --n 1 --c 8 --f 1.8
-//   hepex characterize --machine xeon --program SP --out ch.json
-//   hepex predict     --from ch.json --n 8 --c 8 --f 1.8 [--class A] [--iters 60]
-//   hepex faults      --machine xeon --program SP --mtbf 86400
-//   hepex faults      --machine xeon --program SP --n 4 --c 8 --f 1.8
-//                     --mtbf 3600 [--crash-node 1 --crash-at 5] [--mode abort]
-//                     [--replicas 32]
-//   hepex scenario validate --scenario s.json
-//   hepex scenario print [--scenario s.json] [--machine arm ...] [--out s.json]
-//
-// Observability flags (any command; see docs/observability.md):
-//   --log-level off|error|warn|info|debug|trace   structured logs on stderr
-//   --profile                                     host-time report on exit
-//   --jobs N              worker threads for sweeps/ensembles (0 = all
-//                         cores; results are identical at any N — see
-//                         docs/performance.md)
-// simulate additionally accepts:
-//   --trace=out.json      Chrome/Perfetto timeline of the simulated run
-//   --metrics=out.json    metrics-registry snapshot
-// Running `hepex --trace=out.json` with no command simulates the
-// quickstart workload (SP on the Xeon cluster) and traces it.
+// Each command is one row of `kCommands` below: its name, operands,
+// accepted flags, handler and help line. The usage text, the flag and
+// operand checks and dispatch all read that table. `--scenario FILE` on
+// any command loads a declarative Scenario (docs/scenarios.md) and the
+// other flags override its fields: CLI flag > scenario field > registry
+// default.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage/configuration error.
 
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -70,17 +41,6 @@
 using namespace hepex;
 
 namespace {
-
-/// Reject flags this command does not understand. Observability flags,
-/// --jobs and --scenario are accepted everywhere.
-void require_flags(const util::CliArgs& args,
-                   std::vector<std::string> known) {
-  known.push_back("log-level");
-  known.push_back("profile");
-  known.push_back("jobs");
-  known.push_back("scenario");
-  args.require_known(known);
-}
 
 /// Build the run's Scenario: `--scenario FILE` when given, the default
 /// scenario otherwise, with the remaining flags layered on top
@@ -156,6 +116,11 @@ q::Seconds duration_or(const util::CliArgs& args, const std::string& name,
   return v ? util::parse_duration(*v) : q::Seconds{fallback_s};
 }
 
+/// "(n,c,f)" with f in GHz, as every table and summary line spells it.
+std::string config_text(const hw::ClusterConfig& c) {
+  return util::fmt_config(c.nodes, c.cores, c.f_hz.value() / 1e9);
+}
+
 /// Write the files the scenario's `obs` section names: the report (with
 /// the run's host wall time), the trace and the metrics snapshot. An
 /// unwritable trace or metrics path is a usage error (exit 2).
@@ -185,13 +150,17 @@ void write_outputs(const cfg::Scenario& s, core::RunResult& res) {
 void print_points(const std::vector<pareto::ConfigPoint>& points) {
   util::Table t({"(n,c,f)", "time [s]", "energy [kJ]", "UCR"});
   for (const auto& p : points) {
-    t.add_row({util::fmt_config(p.config.nodes, p.config.cores,
-                                p.config.f_hz.value() / 1e9),
-               util::fmt(p.time_s.value(), 2),
-               util::fmt(p.energy_j.value() / 1e3, 3),
-               util::fmt(p.ucr, 2)});
+    t.add_row({config_text(p.config), util::fmt(p.time_s.value(), 2),
+               util::fmt(p.energy_j.value() / 1e3, 3), util::fmt(p.ucr, 2)});
   }
   std::printf("%s", t.to_text().c_str());
+}
+
+/// "LABEL: (n,c,f) (T s, E kJ)" for one chosen point.
+void print_choice(const std::string& label, const pareto::ConfigPoint& p) {
+  std::printf("%s: %s (%.2f s, %.3f kJ)\n", label.c_str(),
+              config_text(p.config).c_str(), p.time_s.value(),
+              p.energy_j.value() / 1e3);
 }
 
 /// `hepex advise` over a synthetic grid: one min-energy row per expanded
@@ -202,18 +171,17 @@ int advise_grid(const util::CliArgs& args, const cfg::Scenario& s) {
         "--deadline/--budget apply to a single program, not a synthetic "
         "grid (drop workload.grid or the flag)");
   }
+  // Run first: a scenario the advisor rejects then prints nothing.
+  core::RunResult res = core::run(s, core::Method::kAdvise);
   std::printf("advice for synthetic grid (%zu points, class %s) on %s:\n",
               s.workload_grid->expand().size(),
               workload::to_string(s.input).c_str(), s.machine.name.c_str());
-  core::RunResult res = core::run(s, core::Method::kAdvise);
   util::Table t({"signature", "program", "min-energy (n,c,f)", "time [s]",
                  "energy [kJ]"});
   const core::GridRow* best = nullptr;
   for (const auto& row : res.grid) {
     const pareto::ConfigPoint& p = row.min_energy;
-    t.add_row({row.signature, row.program,
-               util::fmt_config(p.config.nodes, p.config.cores,
-                                p.config.f_hz.value() / 1e9),
+    t.add_row({row.signature, row.program, config_text(p.config),
                util::fmt(p.time_s.value(), 2),
                util::fmt(p.energy_j.value() / 1e3, 3)});
     if (best == nullptr || p.energy_j < best->min_energy.energy_j) best = &row;
@@ -223,18 +191,14 @@ int advise_grid(const util::CliArgs& args, const cfg::Scenario& s) {
     const pareto::ConfigPoint& p = best->min_energy;
     std::printf("grid minimum energy: %s (%s) at %s (%.2f s, %.3f kJ)\n",
                 best->program.c_str(), best->signature.c_str(),
-                util::fmt_config(p.config.nodes, p.config.cores,
-                                 p.config.f_hz.value() / 1e9)
-                    .c_str(),
-                p.time_s.value(), p.energy_j.value() / 1e3);
+                config_text(p.config).c_str(), p.time_s.value(),
+                p.energy_j.value() / 1e3);
   }
   write_outputs(s, res);
   return 0;
 }
 
 int cmd_advise(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "deadline", "budget",
-                       "report"});
   const cfg::Scenario s = scenario_from(args);
   if (s.workload_grid) return advise_grid(args, s);
   core::Advisor advisor = core::Advisor::from_scenario(s);
@@ -243,143 +207,68 @@ int cmd_advise(const util::CliArgs& args) {
   core::RunResult res = core::run(s, core::Method::kAdvise, {&advisor, {}});
   print_points(res.frontier);
   if (const pareto::ConfigPoint* best = pareto::min_energy(res.frontier)) {
-    std::printf("minimum energy: %s (%.2f s, %.3f kJ)\n",
-                util::fmt_config(best->config.nodes, best->config.cores,
-                                 best->config.f_hz.value() / 1e9)
-                    .c_str(),
-                best->time_s.value(), best->energy_j.value() / 1e3);
+    print_choice("minimum energy", *best);
   }
   write_outputs(s, res);
   if (args.has("deadline")) {
     const q::Seconds deadline = duration_or(args, "deadline", 0.0);
+    const std::string label = "deadline " + util::fmt(deadline.value(), 1) +
+                              " s";
     if (const auto rec = advisor.for_deadline(deadline)) {
-      std::printf("deadline %.1f s: %s (%.2f s, %.3f kJ)\n",
-                  deadline.value(),
-                  util::fmt_config(rec->point.config.nodes,
-                                   rec->point.config.cores,
-                                   rec->point.config.f_hz.value() / 1e9)
-                      .c_str(),
-                  rec->point.time_s.value(),
-                  rec->point.energy_j.value() / 1e3);
+      print_choice(label, rec->point);
     } else {
-      std::printf("deadline %.1f s: no configuration meets it\n",
-                  deadline.value());
+      std::printf("%s: no configuration meets it\n", label.c_str());
     }
   }
   if (const auto braw = args.get("budget")) {
     const q::Joules budget = util::parse_energy(*braw);
+    const std::string label = "budget " + util::fmt(budget.value(), 0) + " J";
     if (const auto rec = advisor.for_budget(budget)) {
-      std::printf("budget %.0f J: %s (%.2f s, %.3f kJ)\n", budget.value(),
-                  util::fmt_config(rec->point.config.nodes,
-                                   rec->point.config.cores,
-                                   rec->point.config.f_hz.value() / 1e9)
-                      .c_str(),
-                  rec->point.time_s.value(),
-                  rec->point.energy_j.value() / 1e3);
+      print_choice(label, rec->point);
     } else {
-      std::printf("budget %.0f J: no configuration fits it\n",
-                  budget.value());
+      std::printf("%s: no configuration fits it\n", label.c_str());
     }
   }
   return 0;
 }
 
-int cmd_scenario(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "n", "c", "f",
-                       "replicas", "out"});
-  const std::string& sub = args.subcommand();
-  if (sub == "validate") {
-    const auto path = args.get("scenario");
-    if (!path) {
-      fail_require("scenario validate needs --scenario FILE");
-    }
-    const cfg::Scenario s = cfg::load_scenario_file(*path);
-    std::printf("%s: OK — %s (class %s) on %s; %zu sweep configs%s%s\n",
-                path->c_str(), s.program_name.c_str(),
-                workload::to_string(s.input).c_str(), s.machine.name.c_str(),
-                s.sweep_configs().size(),
-                s.config ? "; single config set" : "",
-                s.faults ? "; fault plan" : "");
-    return 0;
+int scenario_validate(const util::CliArgs& args) {
+  const auto path = args.get("scenario");
+  if (!path) {
+    fail_require("scenario validate needs --scenario FILE");
   }
-  if (sub == "print") {
-    const cfg::Scenario s = scenario_from(args);
-    if (const auto out = args.get("out")) {
-      cfg::save_scenario_file(s, *out);
-      std::printf("scenario written: %s\n", out->c_str());
-    } else {
-      std::printf("%s", cfg::save_scenario(s).c_str());
-    }
-    return 0;
-  }
-  fail_require("scenario needs a subcommand: validate | print");
-}
-
-int cmd_frontier(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class"});
-  const cfg::Scenario s = scenario_from(args);
-  core::Advisor advisor = core::Advisor::from_scenario(s);
-  print_points(advisor.frontier());
+  const cfg::Scenario s = cfg::load_scenario_file(*path);
+  std::printf("%s: OK — %s (class %s) on %s; %zu sweep configs%s%s\n",
+              path->c_str(), s.program_name.c_str(),
+              workload::to_string(s.input).c_str(), s.machine.name.c_str(),
+              s.sweep_configs().size(),
+              s.config ? "; single config set" : "",
+              s.faults ? "; fault plan" : "");
   return 0;
 }
 
-int cmd_recommend(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "deadline", "budget"});
+int scenario_print(const util::CliArgs& args) {
   const cfg::Scenario s = scenario_from(args);
-  core::Advisor advisor = core::Advisor::from_scenario(s);
-  if (args.has("deadline")) {
-    const q::Seconds deadline = duration_or(args, "deadline", 0.0);
-    if (const auto rec = advisor.for_deadline(deadline)) {
-      std::printf("deadline %.1f s -> %s: %.2f s, %.3f kJ, UCR %.2f "
-                  "(slack %.1f s)\n",
-                  deadline.value(),
-                  util::fmt_config(rec->point.config.nodes,
-                                   rec->point.config.cores,
-                                   rec->point.config.f_hz.value() / 1e9)
-                      .c_str(),
-                  rec->point.time_s.value(),
-                  rec->point.energy_j.value() / 1e3,
-                  rec->point.ucr, rec->slack);
-      return 0;
-    }
-    std::printf("no configuration meets a %.1f s deadline\n",
-                deadline.value());
-    return 1;
+  if (const auto out = args.get("out")) {
+    cfg::save_scenario_file(s, *out);
+    std::printf("scenario written: %s\n", out->c_str());
+  } else {
+    std::printf("%s", cfg::save_scenario(s).c_str());
   }
-  if (args.has("budget")) {
-    const auto braw = args.get("budget");
-    const q::Joules budget = braw ? util::parse_energy(*braw) : q::Joules{};
-    if (const auto rec = advisor.for_budget(budget)) {
-      std::printf("budget %.0f J -> %s: %.2f s, %.3f kJ, UCR %.2f\n",
-                  budget.value(),
-                  util::fmt_config(rec->point.config.nodes,
-                                   rec->point.config.cores,
-                                   rec->point.config.f_hz.value() / 1e9)
-                      .c_str(),
-                  rec->point.time_s.value(),
-                  rec->point.energy_j.value() / 1e3,
-                  rec->point.ucr);
-      return 0;
-    }
-    std::printf("no configuration fits a %.0f J budget\n", budget.value());
-    return 1;
-  }
-  fail_require("recommend needs --deadline or --budget");
+  return 0;
 }
 
 /// Execute the scenario's single configuration and print the measurement
-/// — the shared back half of `simulate` and `trace replay`. `command`
-/// names the invocation in any RunReport written.
-int run_simulation(const cfg::Scenario& s, const char* command) {
+/// — the shared back half of `simulate` and `trace replay`. A non-null
+/// `command` renames the invocation in any RunReport written.
+int run_simulation(const cfg::Scenario& s, const char* command = nullptr) {
   core::RunResult res = core::run(s, core::Method::kSimulate);
-  res.report.command = command;
+  if (command != nullptr) res.report.command = command;
   write_outputs(s, res);
   const trace::Measurement& meas = *res.measurement;
   const hw::ClusterConfig run = s.single_config();
   std::printf("measured %s on %s at %s:\n", s.program.name.c_str(),
-              s.machine.name.c_str(),
-              util::fmt_config(run.nodes, run.cores,
-                               run.f_hz.value() / 1e9).c_str());
+              s.machine.name.c_str(), config_text(run).c_str());
   std::printf("  time   : %.2f s\n", meas.time_s.value());
   std::printf("  energy : %.3f kJ (cpu %.2f + mem %.2f + net %.2f + idle "
               "%.2f)\n",
@@ -395,14 +284,11 @@ int run_simulation(const cfg::Scenario& s, const char* command) {
 }
 
 int cmd_simulate(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "n", "c", "f", "trace",
-                       "metrics", "report"});
   const cfg::Scenario s = scenario_from(args);
-  return run_simulation(s, "simulate");
+  return run_simulation(s);
 }
 
 int cmd_validate(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "report"});
   const cfg::Scenario s = scenario_from(args);
   // Scenario-driven runs validate over the scenario's sweep space; flag
   // runs over the paper's measured grid.
@@ -425,7 +311,6 @@ int cmd_validate(const util::CliArgs& args) {
 }
 
 int cmd_netchar(const util::CliArgs& args) {
-  require_flags(args, {"machine"});
   // netchar historically defaults to the ARM cluster (the network-bound
   // platform); an explicit --machine or --scenario overrides that.
   hw::MachineSpec m;
@@ -448,10 +333,6 @@ int cmd_netchar(const util::CliArgs& args) {
 
 /// `hepex report show FILE` — human-readable rendering of a RunReport.
 int report_show(const util::CliArgs& args) {
-  require_flags(args, {});
-  if (args.positionals().size() != 1) {
-    fail_require("report show needs exactly one FILE operand");
-  }
   const std::string& path = args.positionals()[0];
   const obs::RunReport r = obs::RunReport::load_file(path);
 
@@ -497,10 +378,6 @@ int report_show(const util::CliArgs& args) {
 /// 0 when the documents are identical, 1 when they differ (diff(1)
 /// semantics).
 int report_diff(const util::CliArgs& args) {
-  require_flags(args, {});
-  if (args.positionals().size() != 2) {
-    fail_require("report diff needs exactly two FILE operands");
-  }
   const obs::RunReport a = obs::RunReport::load_file(args.positionals()[0]);
   const obs::RunReport b = obs::RunReport::load_file(args.positionals()[1]);
   const auto deltas = obs::diff_reports(a, b);
@@ -534,10 +411,6 @@ int report_diff(const util::CliArgs& args) {
 /// scenario embedded in BASELINE (best-of-3 host timing) and checks the
 /// fresh results against it. Exit 0 pass, 1 regression.
 int report_check(const util::CliArgs& args) {
-  require_flags(args, {"against", "tolerance", "rtol", "skip-host"});
-  if (args.positionals().size() != 1) {
-    fail_require("report check needs exactly one BASELINE operand");
-  }
   const std::string& base_path = args.positionals()[0];
   const obs::RunReport baseline = obs::RunReport::load_file(base_path);
 
@@ -601,15 +474,6 @@ int report_check(const util::CliArgs& args) {
 }
 
 int cmd_report(const util::CliArgs& args) {
-  const std::string& sub = args.subcommand();
-  if (sub == "show") return report_show(args);
-  if (sub == "diff") return report_diff(args);
-  if (sub == "check") return report_check(args);
-  if (!sub.empty()) {
-    fail_require("report subcommands: show FILE | diff A B | "
-                 "check BASELINE [--against FILE]");
-  }
-  require_flags(args, {"machine", "program", "class"});
   const cfg::Scenario s = scenario_from(args);
   core::Advisor advisor = core::Advisor::from_scenario(s);
   std::printf("%s", core::markdown_report(advisor).c_str());
@@ -617,8 +481,6 @@ int cmd_report(const util::CliArgs& args) {
 }
 
 int cmd_whatif(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "membw", "netbw", "n",
-                       "c", "f"});
   const cfg::Scenario s = scenario_from(args);
   core::Advisor advisor = core::Advisor::from_scenario(s);
   const auto run = s.single_config();
@@ -645,27 +507,9 @@ int cmd_whatif(const util::CliArgs& args) {
   return 0;
 }
 
-int cmd_programs(const util::CliArgs& args) {
-  require_flags(args, {});
-  util::Table t({"name", "suite", "language", "pattern", "domain"});
-  for (const auto& name : workload::program_names()) {
-    const auto p = workload::program_by_name(name, workload::InputClass::kA);
-    t.add_row({p.name, p.suite, p.language,
-               workload::to_string(p.comm.pattern), p.domain});
-  }
-  std::printf("%s", t.to_text().c_str());
-  std::printf("(LU..LB are the paper's validation set; MG, FT, CG are "
-              "extensions.)\n");
-  return 0;
-}
-
 /// `hepex workload list` — the workload-source registry and every
 /// enumerable program reference.
-int workload_list(const util::CliArgs& args) {
-  require_flags(args, {});
-  if (!args.positionals().empty()) {
-    fail_require("workload list takes no operands");
-  }
+int workload_list(const util::CliArgs& /*args*/) {
   util::Table t({"source", "references", "description"});
   for (const auto& name : workload::source_names()) {
     const workload::Source& src = workload::source_by_name(name);
@@ -686,10 +530,6 @@ int workload_list(const util::CliArgs& args) {
 /// `hepex workload show REF [--class X]` — resolve a program reference
 /// and print the spec as canonical JSON with its provenance.
 int workload_show(const util::CliArgs& args) {
-  require_flags(args, {"class"});
-  if (args.positionals().size() != 1) {
-    fail_require("workload show needs exactly one REF operand");
-  }
   const workload::InputClass cls =
       workload::input_class_from_string(args.get_or("class", "A"));
   const workload::ResolvedProgram r =
@@ -704,20 +544,9 @@ int workload_show(const util::CliArgs& args) {
   return 0;
 }
 
-int cmd_workload(const util::CliArgs& args) {
-  const std::string& sub = args.subcommand();
-  if (sub == "list") return workload_list(args);
-  if (sub == "show") return workload_show(args);
-  fail_require("workload needs a subcommand: list | show REF [--class X]");
-}
-
 /// `hepex trace gen` — serialize a resolved program as a hepex-trace/1
 /// document (stdout, or --out FILE).
 int trace_gen(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "out"});
-  if (!args.positionals().empty()) {
-    fail_require("trace gen takes no operands");
-  }
   const cfg::Scenario s = scenario_from(args);
   const std::string text = workload::write_trace(s.program);
   if (const auto out = args.get("out")) {
@@ -738,10 +567,6 @@ int trace_gen(const util::CliArgs& args) {
 /// `hepex trace validate FILE...` — parse and lower each trace; any
 /// malformed document fails with its line/column diagnostic.
 int trace_validate(const util::CliArgs& args) {
-  require_flags(args, {});
-  if (args.positionals().empty()) {
-    fail_require("trace validate needs at least one FILE operand");
-  }
   for (const auto& path : args.positionals()) {
     std::ifstream is(path);
     if (!is) {
@@ -764,11 +589,6 @@ int trace_validate(const util::CliArgs& args) {
 /// and run it at the scenario's single configuration. Without --class
 /// the trace replays at its recorded input class.
 int trace_replay(const util::CliArgs& args) {
-  require_flags(args, {"machine", "class", "n", "c", "f", "trace", "metrics",
-                       "report"});
-  if (args.positionals().size() != 1) {
-    fail_require("trace replay needs exactly one FILE operand");
-  }
   const std::string& path = args.positionals()[0];
   cfg::Scenario s = scenario_from(args);
   workload::ProgramSpec p = workload::load_trace_file(path);
@@ -783,17 +603,7 @@ int trace_replay(const util::CliArgs& args) {
   return run_simulation(s, "replay");
 }
 
-int cmd_trace(const util::CliArgs& args) {
-  const std::string& sub = args.subcommand();
-  if (sub == "gen") return trace_gen(args);
-  if (sub == "validate") return trace_validate(args);
-  if (sub == "replay") return trace_replay(args);
-  fail_require("trace needs a subcommand: gen [--out FILE] | "
-               "validate FILE... | replay FILE");
-}
-
-int cmd_machines(const util::CliArgs& args) {
-  require_flags(args, {});
+int cmd_machines(const util::CliArgs& /*args*/) {
   util::Table t({"key", "name", "cores/node", "f range [GHz]", "memory BW",
                  "network"});
   for (const auto& key : hw::machine_names()) {
@@ -814,15 +624,13 @@ int cmd_machines(const util::CliArgs& args) {
 }
 
 int cmd_sensitivity(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "n", "c", "f"});
   const cfg::Scenario s = scenario_from(args);
   const auto run = s.single_config();
-  const auto ch = model::characterize(s.machine, s.program);
+  core::Advisor advisor = core::Advisor::from_scenario(s);
+  const model::Characterization& ch = advisor.characterization();
   const auto rep = model::sensitivity(ch, model::target_of(s.program), run);
   std::printf("%s at %s: T = %.1f s, E = %.2f kJ\n", s.program.name.c_str(),
-              util::fmt_config(run.nodes, run.cores, run.f_hz.value() / 1e9)
-                  .c_str(),
-              rep.nominal.time_s.value(),
+              config_text(run).c_str(), rep.nominal.time_s.value(),
               rep.nominal.energy_j.value() / 1e3);
   util::Table t({"input", "dlnT/dln(x)", "dlnE/dln(x)"});
   for (const auto& sens : rep.inputs) {
@@ -840,9 +648,9 @@ int cmd_sensitivity(const util::CliArgs& args) {
 }
 
 int cmd_characterize(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "out"});
   const cfg::Scenario s = scenario_from(args);
-  const auto ch = model::characterize(s.machine, s.program);
+  core::Advisor advisor = core::Advisor::from_scenario(s);
+  const model::Characterization& ch = advisor.characterization();
   const std::string out = args.get_or("out", "characterization.json");
   model::save_characterization_file(ch, out);
   std::printf("characterized %s on %s -> %s\n", s.program.name.c_str(),
@@ -851,7 +659,6 @@ int cmd_characterize(const util::CliArgs& args) {
 }
 
 int cmd_predict(const util::CliArgs& args) {
-  require_flags(args, {"from", "n", "c", "f", "class", "iters"});
   const auto path = args.get("from");
   if (!path) fail_require("predict needs --from FILE");
   const auto ch = model::load_characterization_file(*path);
@@ -873,9 +680,7 @@ int cmd_predict(const util::CliArgs& args) {
   const auto pred = model::predict(ch, target, run);
   std::printf("%s at %s: %.2f s, %.3f kJ, UCR %.2f "
               "(cpu %.2f + mem %.2f + net %.2f s)\n",
-              ch.program_name.c_str(),
-              util::fmt_config(run.nodes, run.cores, run.f_hz.value() / 1e9)
-                  .c_str(),
+              ch.program_name.c_str(), config_text(run).c_str(),
               pred.time_s.value(), pred.energy_j.value() / 1e3, pred.ucr,
               pred.t_cpu_s.value(), pred.t_mem_s.value(),
               (pred.t_w_net_s + pred.t_s_net_s).value());
@@ -891,10 +696,6 @@ int cmd_predict(const util::CliArgs& args) {
 /// with fault flags layered on top — and report the measured
 /// T_fault / E_fault.
 int cmd_faults(const util::CliArgs& args) {
-  require_flags(args, {"machine", "program", "class", "mtbf", "ckpt-write",
-                       "restart-cost", "ckpt-interval", "n", "c", "f", "mode",
-                       "crash-node", "crash-at", "barrier-timeout", "spares",
-                       "fault-seed", "replicas", "report"});
   cfg::Scenario s = scenario_from(args);
 
   if (s.config.has_value()) {
@@ -945,10 +746,7 @@ int cmd_faults(const util::CliArgs& args) {
       const trace::EnsembleSummary& sum = *res.ensemble;
       std::printf("simulated %d replicas of %s on %s at %s under faults:\n",
                   s.sim.replicas, s.program.name.c_str(),
-                  s.machine.name.c_str(),
-                  util::fmt_config(run.nodes, run.cores,
-                                   run.f_hz.value() / 1e9)
-                      .c_str());
+                  s.machine.name.c_str(), config_text(run).c_str());
       std::printf("  outcome   : %zu completed, %zu aborted\n",
                   sum.completed, sum.aborted);
       std::printf("  time      : mean %.2f s  sd %.2f s  max %.2f s\n",
@@ -965,9 +763,7 @@ int cmd_faults(const util::CliArgs& args) {
     const trace::Measurement& meas = *res.measurement;
     std::printf("simulated %s on %s at %s under faults:\n",
                 s.program.name.c_str(), s.machine.name.c_str(),
-                util::fmt_config(run.nodes, run.cores,
-                                 run.f_hz.value() / 1e9)
-                    .c_str());
+                config_text(run).c_str());
     std::printf("  outcome   : %s after %.2f s\n",
                 meas.completed() ? "completed" : "ABORTED",
                 meas.time_s.value());
@@ -985,6 +781,17 @@ int cmd_faults(const util::CliArgs& args) {
     return meas.completed() ? 0 : 1;
   }
 
+  // Advice mode predicts and runs nothing, so the flags that shape or
+  // record a run have nothing to act on.
+  for (const char* flag : {"report", "replicas", "crash-node", "crash-at",
+                           "mode", "barrier-timeout", "spares",
+                           "fault-seed"}) {
+    if (args.has(flag)) {
+      fail_require(std::string("--") + flag +
+                   " needs a configuration (--n/--c/--f or a scenario "
+                   "config); faults advice mode does not read it");
+    }
+  }
   model::ResilienceSpec spec;
   spec.node_mtbf_s = duration_or(args, "mtbf", 0.0).value();
   spec.checkpoint_write_s = duration_or(args, "ckpt-write", 1.0).value();
@@ -1003,15 +810,10 @@ int cmd_faults(const util::CliArgs& args) {
       spec);
 
   std::printf("fault-free optimum : %s: %.2f s, %.3f kJ\n",
-              util::fmt_config(base->config.nodes, base->config.cores,
-                               base->config.f_hz.value() / 1e9)
-                  .c_str(),
-              base->time_s.value(), base->energy_j.value() / 1e3);
+              config_text(base->config).c_str(), base->time_s.value(),
+              base->energy_j.value() / 1e3);
   std::printf("MTBF %.0f s/node    : %s: %.2f s, %.3f kJ expected\n",
-              spec.node_mtbf_s,
-              util::fmt_config(rec.config.nodes, rec.config.cores,
-                               rec.config.f_hz.value() / 1e9)
-                  .c_str(),
+              spec.node_mtbf_s, config_text(rec.config).c_str(),
               rec.time_s.value(), rec.energy_j.value() / 1e3);
   if (oh) {
     std::printf("  checkpoint every %.1f s; ~%.2f failures expected\n",
@@ -1022,80 +824,162 @@ int cmd_faults(const util::CliArgs& args) {
   return 0;
 }
 
+/// One CLI command. `name` is one word, or a group and a subcommand
+/// ("report show"). `operands` spells the operands after the name; its
+/// word count is how many the command takes, and a trailing "..." means
+/// that many or more. `flags` lists the accepted flags, space-separated,
+/// on top of kCommonFlags.
+struct Command {
+  const char* name;
+  const char* operands;
+  const char* flags;
+  int (*run)(const util::CliArgs&);
+  const char* help;
+};
+
+/// Flags every command accepts.
+constexpr const char* kCommonFlags = "scenario jobs log-level profile";
+
+constexpr Command kCommands[] = {
+    {"advise", "", "machine program class deadline budget report", cmd_advise,
+     "least-energy frontier; --deadline/--budget pick one"},
+    {"simulate", "", "machine program class n c f trace metrics report",
+     cmd_simulate, "simulate one (n,c,f) configuration"},
+    {"validate", "", "machine program class report", cmd_validate,
+     "model error against simulation over a grid"},
+    {"faults", "",
+     "machine program class mtbf ckpt-write restart-cost ckpt-interval n c f "
+     "mode crash-node crash-at barrier-timeout spares fault-seed replicas "
+     "report",
+     cmd_faults, "MTBF advice, or one faulty run with --n/--c/--f"},
+    {"whatif", "", "machine program class membw netbw n c f", cmd_whatif,
+     "predicted gain from faster memory or network"},
+    {"sensitivity", "", "machine program class n c f", cmd_sensitivity,
+     "elasticities of T and E at one configuration"},
+    {"characterize", "", "machine program class out", cmd_characterize,
+     "write a program's model inputs as JSON"},
+    {"predict", "", "from n c f class iters", cmd_predict,
+     "predict one configuration from a characterization"},
+    {"report", "", "machine program class", cmd_report,
+     "markdown report of the advice"},
+    {"report show", "FILE", "", report_show, "render a RunReport"},
+    {"report diff", "A B", "", report_diff,
+     "per-field deltas (exit 1 when they differ)"},
+    {"report check", "BASELINE", "against tolerance rtol skip-host",
+     report_check, "regression gate; reruns BASELINE without --against"},
+    {"netchar", "", "machine", cmd_netchar,
+     "NetPIPE sweep of the network (default machine arm)"},
+    {"machines", "", "", cmd_machines, "the machine presets"},
+    {"scenario validate", "", "", scenario_validate,
+     "check the --scenario file"},
+    {"scenario print", "", "machine program class n c f replicas out",
+     scenario_print, "the resolved scenario as JSON"},
+    {"workload list", "", "", workload_list,
+     "the workload sources and their programs"},
+    {"workload show", "REF", "class", workload_show,
+     "a resolved program spec as JSON"},
+    {"trace gen", "", "program class out", trace_gen,
+     "write a program as a workload trace"},
+    {"trace validate", "FILE...", "", trace_validate,
+     "parse and lower each trace"},
+    {"trace replay", "FILE", "machine class n c f trace metrics report",
+     trace_replay, "simulate a trace at one configuration"},
+};
+
+std::vector<std::string> words(const char* text) {
+  std::istringstream in(text);
+  return {std::istream_iterator<std::string>(in),
+          std::istream_iterator<std::string>()};
+}
+
+const Command* find_command(const std::string& name) {
+  for (const Command& c : kCommands) {
+    if (name == c.name) return &c;
+  }
+  return nullptr;
+}
+
+/// The subcommands of `group`, "a | b | c"; empty when it has none.
+std::string subcommands_of(const std::string& group) {
+  const std::string prefix = group + " ";
+  std::string out;
+  for (const Command& c : kCommands) {
+    const std::string name = c.name;
+    if (name.starts_with(prefix)) {
+      out += (out.empty() ? "" : " | ") + name.substr(prefix.size());
+    }
+  }
+  return out;
+}
+
 int usage() {
   std::printf(
       "hepex — energy-efficient execution of hybrid parallel programs\n"
-      "commands: advise | frontier | recommend | simulate | validate |\n"
-      "          netchar | report | whatif | characterize | predict |\n"
-      "          sensitivity | faults | programs | machines |\n"
-      "          scenario validate|print | report show|diff|check |\n"
-      "          workload list|show REF | trace gen|validate|replay\n"
-      "scenarios: --scenario FILE on any command loads a declarative run\n"
-      "           description (docs/scenarios.md); remaining flags are\n"
-      "           overrides layered on top.\n"
-      "common flags: --machine xeon|arm|modern  --program BT|LU|SP|CP|LB  "
-      "--class S|W|A|B|C\n"
-      "observability: --log-level LEVEL  --profile\n"
-      "               simulate: --trace=FILE --metrics=FILE\n"
-      "               simulate|validate|advise|faults: --report=FILE\n"
-      "                 (schema-versioned RunReport provenance artifact)\n"
-      "reports:       report show FILE — render a RunReport\n"
-      "               report diff A B — per-field deltas (exit 1 on change)\n"
-      "               report check BASELINE [--against FILE] [--tolerance T]\n"
-      "                 [--rtol R] [--skip-host] — regression gate (exit 1)\n"
-      "parallelism:   --jobs N (0 = all cores; identical results at any N)\n"
-      "               faults: --replicas R (Monte-Carlo ensemble)\n"
-      "workloads:     workload list — the source registry\n"
-      "               workload show REF [--class X] — resolved spec as JSON\n"
-      "               trace gen [--program P] [--out FILE] — emit a "
-      "workload trace\n"
-      "               trace validate FILE... | trace replay FILE\n"
-      "see the README, docs/scenarios.md, docs/workloads.md,\n"
-      "docs/observability.md and docs/performance.md for per-command "
-      "flags.\n");
+      "usage: hepex COMMAND [OPERAND...] [--flag VALUE | --flag=VALUE]...\n"
+      "\n");
+  for (const Command& c : kCommands) {
+    std::string head = c.name;
+    if (*c.operands != '\0') head += std::string(" ") + c.operands;
+    std::printf("  %-24s%s\n", head.c_str(), c.help);
+    std::string line;
+    for (const std::string& flag : words(c.flags)) {
+      if (!line.empty() && line.size() + 3 + flag.size() > 72) {
+        std::printf("      %s\n", line.c_str());
+        line.clear();
+      }
+      line += (line.empty() ? "--" : " --") + flag;
+    }
+    if (!line.empty()) std::printf("      %s\n", line.c_str());
+  }
+  std::printf(
+      "\n"
+      "Every command also accepts --scenario FILE (a declarative run, see\n"
+      "docs/scenarios.md; the flags above override its fields), --jobs N\n"
+      "(0 = all cores), --log-level LEVEL and --profile. `hepex machines`\n"
+      "and `hepex workload list` name the --machine and --program values.\n"
+      "`hepex --trace=FILE` with no command traces the quickstart run.\n");
   return 2;
 }
 
 int dispatch(const util::CliArgs& args) {
-  const std::string& cmd = args.command();
-  // Only `scenario`, `report`, `workload` and `trace` have subcommand
-  // grammars, and only `report`, `workload show` and the `trace`
-  // subcommands take file/reference operands; stray tokens elsewhere are
-  // errors.
-  const bool has_subcommands =
-      cmd == "scenario" || cmd == "report" || cmd == "workload" ||
-      cmd == "trace";
-  if (!has_subcommands && !args.subcommand().empty()) {
-    fail_require("unexpected positional argument '" + args.subcommand() +
-                 "'");
+  std::string name = args.command();
+  if (name.empty() && (args.has("trace") || args.has("metrics"))) {
+    // Bare `hepex --trace=out.json` traces the quickstart workload.
+    for (const Command& c : kCommands) {
+      if (c.run == cmd_simulate) name = c.name;
+    }
   }
-  if (cmd != "report" && cmd != "workload" && cmd != "trace" &&
-      !args.positionals().empty()) {
-    fail_require("unexpected positional argument '" + args.positionals()[0] +
-                 "'");
+  if (name.empty()) return usage();
+  const std::string& sub = args.subcommand();
+  std::vector<std::string> operands = args.positionals();
+  const Command* cmd = sub.empty() ? nullptr : find_command(name + " " + sub);
+  if (cmd == nullptr) {
+    cmd = find_command(name);
+    // A command without subcommands reads its second token as an operand.
+    if (!sub.empty()) operands.insert(operands.begin(), sub);
   }
-  if (cmd.empty() && (args.has("trace") || args.has("metrics"))) {
-    // Bare `hepex --trace=out.json`: trace the quickstart workload.
-    return cmd_simulate(args);
+  const std::string subs = subcommands_of(name);
+  if (cmd == nullptr && subs.empty()) {
+    std::fprintf(stderr, "error: unknown command '%s'\n", name.c_str());
+    return usage();
   }
-  if (cmd == "advise") return cmd_advise(args);
-  if (cmd == "scenario") return cmd_scenario(args);
-  if (cmd == "frontier") return cmd_frontier(args);
-  if (cmd == "recommend") return cmd_recommend(args);
-  if (cmd == "simulate") return cmd_simulate(args);
-  if (cmd == "validate") return cmd_validate(args);
-  if (cmd == "netchar") return cmd_netchar(args);
-  if (cmd == "report") return cmd_report(args);
-  if (cmd == "whatif") return cmd_whatif(args);
-  if (cmd == "characterize") return cmd_characterize(args);
-  if (cmd == "predict") return cmd_predict(args);
-  if (cmd == "programs") return cmd_programs(args);
-  if (cmd == "workload") return cmd_workload(args);
-  if (cmd == "trace") return cmd_trace(args);
-  if (cmd == "machines") return cmd_machines(args);
-  if (cmd == "sensitivity") return cmd_sensitivity(args);
-  if (cmd == "faults") return cmd_faults(args);
-  return usage();
+  if (cmd == nullptr) fail_require(name + " needs a subcommand: " + subs);
+
+  const std::vector<std::string> spelled = words(cmd->operands);
+  const bool variadic = !spelled.empty() && spelled.back().ends_with("...");
+  if (operands.size() < spelled.size()) {
+    fail_require(std::string(cmd->name) + " needs operands: " +
+                 cmd->operands);
+  }
+  if (!variadic && operands.size() > spelled.size()) {
+    fail_require("unexpected positional argument '" +
+                 operands[spelled.size()] + "'" +
+                 (subs.empty() ? "" : " (subcommands: " + subs + ")"));
+  }
+  std::vector<std::string> known = words(cmd->flags);
+  for (std::string& flag : words(kCommonFlags)) known.push_back(flag);
+  args.require_known(known);
+  return cmd->run(args);
 }
 
 }  // namespace
