@@ -101,7 +101,7 @@ struct Scenario {
   /// exclusive with `workload.program` and field overrides.
   std::optional<workload::SyntheticGrid> workload_grid;
 
-  SweepSpec sweep;                         ///< explore/validate space
+  SweepSpec sweep;                         ///< validate space
   std::optional<hw::ClusterConfig> config; ///< single-run (n, c, f)
   std::optional<fault::Plan> faults;       ///< degraded-mode injection plan
   SimSettings sim;

@@ -11,14 +11,23 @@
 /// (sim/arena.hpp) — recycled cells, not `operator new` — so even the
 /// overflow path is allocation-free once warm.
 ///
-/// Two instantiations cover the engine:
-///  * `EventFn` (`void()`, 96-byte buffer): calendar actions. Sized for
-///    the engine's largest common capture — the resource-completion
-///    closure: six words of timing state plus a moved-in continuation.
-///  * `CompletionFn` (`void(SimTime)`, 48-byte buffer): `sim::Resource`
-///    completion continuations. Sized for the execution engine's largest
-///    completion capture (the send-loop continuation: this, loop
-///    indices, a CommShape, payload size, destination, epoch).
+/// Two instantiations cover the engine, each sized so that the record
+/// holding it fills one 64-byte cache line:
+///  * `EventFn` (`void()`, 56-byte buffer + dispatch pointer = 64 bytes):
+///    calendar actions, one action-pool slot each. The engine's largest
+///    event capture is 32 bytes (a compute chunk: this, thread index,
+///    chunk time, epoch); a station's completion event captures only
+///    the station.
+///  * `CompletionFn` (`void(SimTime)`, 32-byte buffer, 40 bytes):
+///    `sim::Resource` continuations. Sized for the execution engine's
+///    largest completion capture (the send-loop continuation: this,
+///    sender, message index, payload size, destination, epoch), so a
+///    queued job is 64 bytes.
+///
+/// Buffers are aligned to `void*`, not `max_align_t`: every engine
+/// capture is made of pointers, ints and doubles, and the weaker
+/// alignment is what keeps both records free of padding. A capture with
+/// stricter alignment goes to the arena like an oversized one.
 ///
 /// Move-only on purpose: event actions are scheduled once and fired once;
 /// copyability is what forces `std::function` to heap-allocate shared
@@ -38,28 +47,22 @@ namespace hepex::sim {
 /// storage and arena-backed overflow.
 template <std::size_t InlineBytes, typename... Args>
 class SmallFn {
+  /// Any `void(Args...)` callable except a SmallFn itself.
+  template <typename F>
+  static constexpr bool is_callable() {
+    return !std::is_same_v<std::decay_t<F>, SmallFn> &&
+           std::is_invocable_r_v<void, std::decay_t<F>&, Args...>;
+  }
+
  public:
   /// Inline capacity; covers the engine's captures (see file doc).
   static constexpr std::size_t kInlineBytes = InlineBytes;
 
   SmallFn() noexcept = default;
 
-  template <typename F,
-            std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                    std::is_invocable_r_v<void, std::decay_t<F>&, Args...>,
-                int> = 0>
+  template <typename F, std::enable_if_t<is_callable<F>(), int> = 0>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
-    } else {
-      void* cell = arena_alloc(sizeof(Fn));
-      ::new (cell) Fn(std::forward<F>(f));
-      ::new (static_cast<void*>(buf_)) Fn*(static_cast<Fn*>(cell));
-      ops_ = &ArenaOps<Fn>::ops;
-    }
+    construct(std::forward<F>(f));
   }
 
   SmallFn(SmallFn&& other) noexcept { move_from(other); }
@@ -73,6 +76,20 @@ class SmallFn {
   SmallFn(const SmallFn&) = delete;
   SmallFn& operator=(const SmallFn&) = delete;
   ~SmallFn() { reset(); }
+
+  /// Replace the stored callable with `f`, built straight into this
+  /// buffer rather than in a temporary SmallFn that is then relocated.
+  /// A SmallFn argument is moved in.
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    if constexpr (is_callable<F>()) {
+      construct(std::forward<F>(f));
+    } else {
+      SmallFn&& other = std::forward<F>(f);  // an rvalue, as for the move ctor
+      move_from(other);
+    }
+  }
 
   /// True when a callable is stored.
   explicit operator bool() const noexcept { return ops_ != nullptr; }
@@ -97,8 +114,7 @@ class SmallFn {
 
   template <typename Fn>
   static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
+    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(void*) &&
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
@@ -132,6 +148,20 @@ class SmallFn {
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &InlineOps<Fn>::ops;
+    } else {
+      void* cell = arena_alloc(sizeof(Fn));
+      ::new (cell) Fn(std::forward<F>(f));
+      ::new (static_cast<void*>(buf_)) Fn*(static_cast<Fn*>(cell));
+      ops_ = &ArenaOps<Fn>::ops;
+    }
+  }
+
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);
@@ -146,21 +176,20 @@ class SmallFn {
     }
   }
 
-  alignas(std::max_align_t) std::byte buf_[kInlineBytes];
+  alignas(void*) std::byte buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
 
-/// Calendar event action (`void()`).
-using EventFn = SmallFn<96>;
+/// Calendar event action (`void()`): one 64-byte action-pool slot.
+using EventFn = SmallFn<56>;
 
 /// Queueing-resource completion continuation; receives the time the job
 /// spent waiting in queue before service started.
-using CompletionFn = SmallFn<48, q::Seconds>;
+using CompletionFn = SmallFn<32, q::Seconds>;
 
-static_assert(sizeof(EventFn) <= EventFn::kInlineBytes + 2 * sizeof(void*),
-              "EventFn grew beyond buffer + dispatch pointer");
-static_assert(sizeof(CompletionFn) <=
-                  CompletionFn::kInlineBytes + 2 * sizeof(void*),
+static_assert(sizeof(EventFn) == 64, "an EventFn is one cache line");
+static_assert(sizeof(CompletionFn) ==
+                  CompletionFn::kInlineBytes + sizeof(void*),
               "CompletionFn grew beyond buffer + dispatch pointer");
 
 }  // namespace hepex::sim

@@ -1,33 +1,39 @@
 #pragma once
 /// \file resource.hpp
-/// \brief FCFS queueing resources for the cluster simulator.
+/// \brief Single-server FCFS queueing stations for the cluster simulator.
 ///
-/// A `Resource` is a k-server first-come-first-served station (k = 1 gives
-/// the single-server queue the paper models analytically with M/G/1). The
-/// memory controller of each node and the Ethernet switch are Resources;
-/// contention — the paper's `T_w,mem` and `T_w,net` — emerges from queueing
-/// rather than from a formula, which is what makes model validation against
-/// the simulator meaningful.
+/// A `Resource` is a single-server first-come-first-served station, the
+/// queue the paper models analytically with M/G/1. The memory controller
+/// and the messaging stack of each node and the Ethernet switch are
+/// Resources; contention — the paper's `T_w,mem` and `T_w,net` — emerges
+/// from queueing rather than from a formula, which is what makes model
+/// validation against the simulator meaningful. (Multi-server M/M/c
+/// stations exist only as reference formulas in tests/sim/test_erlang.cpp.)
 ///
-/// Hot-path design: completions are `sim::CompletionFn` (small-buffer, see
-/// event_fn.hpp), jobs in service live in a recycled slab so the scheduled
-/// completion event captures only `{resource, slot}` — two words, always
-/// inline — and the waiting queue is a grow-only ring buffer. In steady
-/// state a request/complete cycle performs no heap allocation.
+/// Hot-path design: a 1000-node run holds ~2,000 stations and every
+/// simulated memory access or message passes through one, so a station
+/// touches few bytes per job. The job in service lives inline in the
+/// station and its completion event captures only `this`; waiting jobs
+/// are 64-byte records in a grow-only power-of-two ring (2 entries at
+/// first); `request` constructs the caller's continuation in place
+/// (`SmallFn::emplace`). In steady state a request/complete cycle
+/// performs no heap allocation.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_fn.hpp"
 #include "sim/simulator.hpp"
-#include "util/statistics.hpp"
+#include "util/error.hpp"
 
 namespace hepex::sim {
 
-/// A k-server FCFS queueing station with busy-time and waiting accounting.
+/// A single-server FCFS queueing station with busy-time accounting. A
+/// job's wait reaches its continuation and the observer; the station
+/// keeps no per-job statistics of its own.
 class Resource {
  public:
   /// Invoked when service completes; receives the time the job spent
@@ -41,7 +47,7 @@ class Resource {
   /// `[start_s, finish_s]`, and the backlog it arrived behind.
   struct JobObservation {
     SimTime arrival_s{};     ///< when request() was called
-    SimTime start_s{};       ///< when a server picked the job up
+    SimTime start_s{};       ///< when the server picked the job up
     SimTime finish_s{};      ///< when service completed (== now())
     SimTime service_s{};     ///< requested service time
     SimTime waited_s{};      ///< start_s - arrival_s
@@ -56,93 +62,81 @@ class Resource {
   /// histograms without perturbing the simulation.
   using Observer = std::function<void(const Resource&, const JobObservation&)>;
 
-  /// \param sim      owning simulator (must outlive the resource)
-  /// \param name     diagnostic name
-  /// \param servers  number of parallel servers (>= 1)
-  Resource(Simulator& sim, std::string name, int servers = 1);
+  /// \param sim  owning simulator (must outlive the resource)
+  explicit Resource(Simulator& sim) : sim_(sim) {}
 
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  /// Submit a job needing `service_time` of one server; calls
-  /// `on_complete` when service finishes.
-  void request(SimTime service_time, Completion on_complete);
+  /// Submit a job needing `service_time` of the server; calls
+  /// `on_complete(waited)` when service finishes. `on_complete` is any
+  /// `void(SimTime)` callable (or `{}` for none); it is constructed in
+  /// place, so the caller's lambda is never moved through a temporary.
+  template <typename F = Completion>
+  void request(SimTime service_time, F&& on_complete) {
+    HEPEX_REQUIRE(service_time >= SimTime{},
+                  "service time must be non-negative");
+    const auto depth = static_cast<std::uint32_t>(count_ + (busy_ ? 1 : 0));
+    if (!busy_) {
+      cb_.emplace(std::forward<F>(on_complete));
+      start(service_time, sim_.now(), depth, SimTime{});
+      return;
+    }
+    if (count_ == ring_.size()) grow();
+    Job& job = ring_[(head_ + count_) & (ring_.size() - 1)];
+    job.service = service_time;
+    job.arrival = sim_.now();
+    job.depth = depth;
+    job.cb.emplace(std::forward<F>(on_complete));
+    ++count_;
+  }
 
   /// Attach (or clear, with an empty function) the per-job observer.
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
-  /// Station name.
-  const std::string& name() const { return name_; }
-  /// Number of servers.
-  int servers() const { return servers_; }
   /// Jobs currently waiting (not in service).
-  std::size_t queue_length() const { return waiting_.size(); }
-  /// Jobs currently in service.
-  int in_service() const { return busy_; }
-  /// Total server-seconds of completed-or-started service.
+  std::size_t queue_length() const { return count_; }
+  /// Jobs currently in service (0 or 1).
+  int in_service() const { return busy_ ? 1 : 0; }
+  /// Total seconds of completed-or-started service.
   SimTime busy_time() const { return busy_time_; }
-  /// Mean utilization over [0, now]: busy_time / (servers * elapsed).
+  /// Mean utilization over [0, now]: busy_time / elapsed.
   double utilization() const;
-  /// Per-job waiting time statistics (time in queue, excluding service).
-  const util::Summary& wait_stats() const { return wait_stats_; }
-  /// Per-job service time statistics.
-  const util::Summary& service_stats() const { return service_stats_; }
   /// Jobs fully serviced.
   std::size_t completed() const { return completed_; }
 
  private:
+  /// A waiting job: one 64-byte ring record.
   struct Job {
-    SimTime service_time{};
-    SimTime arrival{};
-    std::size_t depth_at_arrival = 0;
-    Completion on_complete;
-  };
-
-  /// A job occupying a server, parked in the slab until its completion
-  /// event (which captures only the slab index) fires.
-  struct InService {
-    SimTime waited{};
     SimTime service{};
     SimTime arrival{};
-    SimTime started{};
-    std::size_t depth = 0;
     Completion cb;
+    std::uint32_t depth = 0;
   };
+  static_assert(sizeof(Job) <= 64, "a queued job fits one cache line");
 
-  /// Grow-only FIFO ring of waiting jobs: push/pop recycle a power-of-two
-  /// buffer, so steady-state queueing allocates nothing (a std::deque
-  /// allocates and frees map chunks as the queue breathes).
-  class JobRing {
-   public:
-    bool empty() const { return count_ == 0; }
-    std::size_t size() const { return count_; }
-    void push_back(Job&& job);
-    Job pop_front();
-
-   private:
-    void grow();
-
-    std::vector<Job> buf_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-  };
-
-  void start(SimTime service, SimTime arrival, std::size_t depth,
-             SimTime waited, Completion cb);
-  void complete(std::uint32_t slot);
+  void start(SimTime service, SimTime arrival, std::uint32_t depth,
+             SimTime waited);
+  void complete();
+  void grow();
 
   Simulator& sim_;
-  std::string name_;
-  int servers_;
-  int busy_ = 0;
+  Observer observer_;
+  // The job in service (valid while busy_).
+  Completion cb_;
+  SimTime service_{};
+  SimTime arrival_{};
+  SimTime started_{};
+  SimTime waited_{};
+  std::uint32_t depth_ = 0;
+  bool busy_ = false;
+  // Waiting jobs: a power-of-two ring, grown by doubling and never
+  // shrunk.
+  std::uint32_t head_ = 0;
+  std::uint32_t count_ = 0;
+  std::vector<Job> ring_;
   SimTime busy_time_{};
   std::size_t completed_ = 0;
-  JobRing waiting_;
-  std::vector<InService> slab_;
-  std::vector<std::uint32_t> free_slots_;
-  util::Summary wait_stats_;
-  util::Summary service_stats_;
-  Observer observer_;
 };
 
 }  // namespace hepex::sim

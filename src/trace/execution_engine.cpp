@@ -107,6 +107,9 @@ struct Run {
   const ProgramSpec& program;
   const ClusterConfig cfg;
   const SimOptions& opt;
+  /// Every process's per-iteration messages (η, ν); held here once so
+  /// the send loop's continuations need not carry it.
+  const workload::CommShape comm;
 
   sim::Simulator sim;
   util::Rng rng;
@@ -200,14 +203,13 @@ struct Run {
 
   Run(const MachineSpec& m, const ProgramSpec& p, const ClusterConfig& c,
       const SimOptions& o)
-      : machine(m), program(p), cfg(c), opt(o), rng(o.seed) {
+      : machine(m), program(p), cfg(c), opt(o),
+        comm(p.comm_shape(c.nodes)), rng(o.seed) {
     for (int i = 0; i < cfg.nodes; ++i) {
-      mem.push_back(
-          std::make_unique<sim::Resource>(sim, "mem" + std::to_string(i)));
-      stack.push_back(
-          std::make_unique<sim::Resource>(sim, "stack" + std::to_string(i)));
+      mem.push_back(std::make_unique<sim::Resource>(sim));
+      stack.push_back(std::make_unique<sim::Resource>(sim));
     }
-    net = std::make_unique<sim::Resource>(sim, "switch");
+    net = std::make_unique<sim::Resource>(sim);
     threads.resize(static_cast<std::size_t>(cfg.nodes) * cfg.cores);
     for (int p_id = 0; p_id < cfg.nodes; ++p_id) {
       for (int t = 0; t < cfg.cores; ++t) {
@@ -324,7 +326,8 @@ struct Run {
     HEPEX_LOG_WARN("engine", "node crash",
                    {{"node", node},
                     {"t", sim.now().value()},
-                    {"iter", iteration}});
+                    {"iter", iteration},
+                    {"seed", opt.seed}});
   }
 
   void arm_watchdog() {
@@ -348,7 +351,9 @@ struct Run {
     finish_s = sim.now();
     mark(Mark::kAbort, kClusterNode, sim.now());
     HEPEX_LOG_WARN("engine", "run aborted",
-                   {{"t", sim.now().value()}, {"iterations_done", iteration}});
+                   {{"t", sim.now().value()},
+                    {"iterations_done", iteration},
+                    {"seed", opt.seed}});
   }
 
   /// Checkpoint/restart recovery, as a coordinated-checkpoint cost model:
@@ -390,7 +395,8 @@ struct Run {
                    {{"t", detect.value()},
                     {"iter", iteration},
                     {"rework_s", rework.value()},
-                    {"downtime_s", downtime.value()}});
+                    {"downtime_s", downtime.value()},
+                    {"seed", opt.seed}});
     const sim::SimTime resume_at = detect + downtime + rework;
     last_checkpoint_s = resume_at;
     sim.schedule_at(resume_at, [this, e = epoch] {
@@ -707,18 +713,17 @@ struct Run {
   // ---- communication phase ------------------------------------------------
 
   void start_comm(int process) {
-    const workload::CommShape shape = program.comm_shape(cfg.nodes);
-    if (shape.messages == 0) {
+    if (comm.messages == 0) {
       process_comm_done();
       return;
     }
-    msgs_in_flight += shape.messages;
-    send_next(process, 0, shape);
+    msgs_in_flight += comm.messages;
+    send_next(process, 0);
   }
 
-  void send_next(int process, int idx, workload::CommShape shape) {
+  void send_next(int process, int idx) {
     if (aborted || is_dead(process)) return;  // sender died mid-phase
-    if (idx == shape.messages) {
+    if (idx == comm.messages) {
       process_comm_done();
       return;
     }
@@ -730,7 +735,7 @@ struct Run {
     counters.comm_software_cycles += isa().message_software_cycles;
 
     const double size = std::max(
-        1.0, rng.lognormal_mean(shape.bytes_per_msg, program.comm.size_cv));
+        1.0, rng.lognormal_mean(comm.bytes_per_msg, program.comm.size_cv));
     messages.messages += 1.0;
     messages.bytes += q::Bytes{size};
     messages.per_msg_bytes.add(size);
@@ -744,14 +749,14 @@ struct Run {
     // processing on the messaging context.
     stack[static_cast<std::size_t>(process)]->request(
         sw_s,
-        [this, process, idx, shape, size, dest, e = epoch](sim::SimTime) {
+        [this, process, idx, size, dest, e = epoch](sim::SimTime) {
           if (aborted || e != epoch) return;
           if (is_dead(process)) return;
           touch(process);
           transmit(dest, size, /*attempt=*/0);
           // The send is buffered: the core moves to the next message
           // while the wire transfer proceeds.
-          send_next(process, idx + 1, shape);
+          send_next(process, idx + 1);
         });
   }
 

@@ -16,8 +16,8 @@ namespace hepex::util {
 class Summary {
  public:
   /// Add one sample. Welford's update, inline: the simulator's queueing
-  /// resources call this for every job's wait and service time, which
-  /// puts it on the per-event hot path.
+  /// stations call this for every job's wait, which puts it on the
+  /// per-event hot path.
   void add(double x) {
     ++n_;
     sum_ += x;

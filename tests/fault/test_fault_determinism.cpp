@@ -7,12 +7,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <mutex>
+#include <set>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "cfg/scenario.hpp"
+#include "core/run.hpp"
 #include "fault/plan.hpp"
 #include "hw/presets.hpp"
+#include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_sink.hpp"
+#include "trace/ensemble.hpp"
 #include "trace/execution_engine.hpp"
+#include "trace/scenario.hpp"
 #include "workload/programs.hpp"
+
+#ifndef HEPEX_SOURCE_DIR
+#error "HEPEX_SOURCE_DIR must point at the repo root"
+#endif
 
 namespace hepex::trace {
 namespace {
@@ -145,6 +161,48 @@ TEST(FaultDeterminism, PlanSeedChangesOnlyThePlanStream) {
   EXPECT_GT(m1.faults.messages_dropped, 0);
   EXPECT_GT(m2.faults.messages_dropped, 0);
   EXPECT_NE(m1.faults.messages_dropped, m2.faults.messages_dropped);
+}
+
+TEST(FaultDeterminism, EnsembleWarningsNameTheirReplica) {
+  // `hepex faults --scenario examples/scenarios/faults.json` runs its
+  // replicas in parallel, so their engine warnings interleave in any
+  // order; the seed on each line ties it to the replica it explains.
+  const cfg::Scenario s = cfg::load_scenario_file(
+      std::string(HEPEX_SOURCE_DIR) + "/examples/scenarios/faults.json");
+  ASSERT_GT(s.sim.replicas, 1);
+  const std::uint64_t base = sim_options_from_scenario(s).seed;
+  std::set<std::string> replica_seeds;
+  for (int i = 0; i < s.sim.replicas; ++i) {
+    replica_seeds.insert(
+        std::to_string(replica_seed(base, static_cast<std::size_t>(i))));
+  }
+  ASSERT_EQ(replica_seeds.size(), static_cast<std::size_t>(s.sim.replicas));
+
+  std::mutex mu;
+  std::vector<std::string> warnings;
+  const obs::LogLevel old_level = obs::Log::level();
+  obs::Log::set_level(obs::LogLevel::kWarn);
+  obs::Log::set_sink([&](std::string_view line) {
+    const std::lock_guard<std::mutex> lock(mu);
+    warnings.emplace_back(line);
+  });
+  (void)core::run(s, core::Method::kFaults);
+  obs::Log::set_sink({});
+  obs::Log::set_level(old_level);
+
+  ASSERT_FALSE(warnings.empty());
+  std::set<std::string> seen;
+  for (const std::string& line : warnings) {
+    const std::size_t at = line.find(" seed=");
+    ASSERT_NE(at, std::string::npos) << line;
+    const std::size_t from = at + 6;
+    const std::string seed =
+        line.substr(from, line.find(' ', from) - from);
+    EXPECT_EQ(replica_seeds.count(seed), 1u) << line;
+    seen.insert(seed);
+  }
+  // Every replica crashes node 1 at 5 s, so every replica warns.
+  EXPECT_EQ(seen, replica_seeds);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// The multi-server Resource against M/M/c theory. The analytical model
-// needs only M/G/1 (sim/queueing.hpp), so the Erlang-C and M/M/c
-// formulas live here as the reference the convergence check measures
-// against, and the ErlangC/Mmc tests pin that reference to textbook values
-// and to the library's M/G/1 at c = 1.
+// M/M/c theory as a reference. The analytical model needs only M/G/1
+// (sim/queueing.hpp) and every simulator station is single-server, so
+// the Erlang-C and M/M/c formulas live only here: the ErlangC/Mmc tests
+// pin them to textbook values and to the library's M/G/1 at c = 1, and
+// the convergence check measures the event-driven station against them
+// at c = 1.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/statistics.hpp"
 
 namespace hepex::sim::queueing {
 namespace {
@@ -106,7 +108,8 @@ TEST(Mmc, PoolingBeatsPartitioning) {
             mm1_mean_wait(q::Hertz{per_server_lambda}, q::Seconds{s}));
 }
 
-/// The event-driven multi-server Resource must converge to Erlang-C.
+/// The event-driven single-server station must converge to Erlang-C at
+/// c = 1 (the station has no multi-server mode to sweep).
 class MmcConvergenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MmcConvergenceTest, MeanWaitMatchesTheory) {
@@ -116,26 +119,28 @@ TEST_P(MmcConvergenceTest, MeanWaitMatchesTheory) {
   const double lambda = rho * servers / mean_service;
 
   Simulator sim;
-  Resource r(sim, "pool", servers);
+  Resource r(sim);
+  util::Summary waits;
   util::Rng rng(4242 + static_cast<std::uint64_t>(servers));
   double t = 0.0;
   for (int i = 0; i < 60000; ++i) {
     t += rng.exponential(1.0 / lambda);
     const double service = rng.exponential(mean_service);
-    sim.schedule_at(SimTime{t}, [&r, service] {
-      r.request(SimTime{service}, {});
+    sim.schedule_at(SimTime{t}, [&r, &waits, service] {
+      r.request(SimTime{service},
+                [&waits](SimTime waited) { waits.add(waited.value()); });
     });
   }
   sim.run();
   const double expected =
       mmc_mean_wait(servers, q::Hertz{lambda}, q::Seconds{mean_service})
           .value();
-  EXPECT_NEAR(r.wait_stats().mean(), expected, 0.12 * expected + 0.01)
+  EXPECT_NEAR(waits.mean(), expected, 0.12 * expected + 0.01)
       << "servers=" << servers;
 }
 
 INSTANTIATE_TEST_SUITE_P(ServerSweep, MmcConvergenceTest,
-                         ::testing::Values(1, 2, 4, 8));
+                         ::testing::Values(1));
 
 }  // namespace
 }  // namespace hepex::sim::queueing

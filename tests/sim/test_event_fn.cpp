@@ -1,4 +1,5 @@
 // sim::EventFn — the small-buffer-optimized event action. Pins the
+// record sizes (one 64-byte cache line per action slot), the
 // allocation contract (small captures inline, big ones on the heap),
 // move-only ownership, and correct destruction in every path.
 
@@ -12,6 +13,7 @@
 #include <memory>
 #include <utility>
 
+using hepex::sim::CompletionFn;
 using hepex::sim::EventFn;
 
 namespace {
@@ -39,31 +41,39 @@ TEST(EventFn, SmallCapturesAreStoredInline) {
   auto small = [&a, &b] { a = b; };
   EXPECT_TRUE(EventFn::stores_inline<decltype(small)>());
 
-  std::array<double, 8> eight_words{};
-  auto medium = [eight_words] { (void)eight_words; };
+  std::array<double, 7> seven_words{};  // the whole 56-byte buffer
+  auto medium = [seven_words] { (void)seven_words; };
   EXPECT_TRUE(EventFn::stores_inline<decltype(medium)>());
 }
 
 TEST(EventFn, EngineShapedCaptureIsInline) {
-  // The resource-completion closure: this + six timing words + a moved
-  // std::function continuation. The whole point of the 96-byte buffer.
-  struct FakeResource {
+  // The engine's largest event capture (a compute chunk: this, thread
+  // index, chunk time, epoch) and its largest station continuation (the
+  // send loop: this, sender, message index, size, destination, epoch).
+  struct FakeRun {
   }* self = nullptr;
-  double t1 = 0, t2 = 0, t3 = 0, t4 = 0, t5 = 0;
-  std::size_t size = 0;
-  std::function<void()> done;
-  auto completion = [self, t1, t2, t3, t4, t5, size,
-                     done = std::move(done)] {
+  std::size_t tid = 0;
+  double chunk_s = 0;
+  int epoch = 0;
+  auto compute = [self, tid, chunk_s, epoch] {
     (void)self;
-    (void)t1;
-    (void)t2;
-    (void)t3;
-    (void)t4;
-    (void)t5;
-    (void)size;
-    if (done) done();
+    (void)tid;
+    (void)chunk_s;
+    (void)epoch;
   };
-  EXPECT_TRUE(EventFn::stores_inline<decltype(completion)>());
+  EXPECT_TRUE(EventFn::stores_inline<decltype(compute)>());
+
+  int process = 0, idx = 0, dest = 0;
+  double size = 0;
+  auto sent = [self, process, idx, size, dest, epoch](hepex::q::Seconds) {
+    (void)self;
+    (void)process;
+    (void)idx;
+    (void)size;
+    (void)dest;
+    (void)epoch;
+  };
+  EXPECT_TRUE(CompletionFn::stores_inline<decltype(sent)>());
 }
 
 TEST(EventFn, OversizedCapturesFallBackToHeap) {
@@ -163,7 +173,26 @@ TEST(EventFn, HoldsMoveOnlyCallables) {
 }
 
 TEST(EventFn, FootprintStaysBounded) {
-  static_assert(sizeof(EventFn) <=
-                EventFn::kInlineBytes + 2 * sizeof(void*));
+  // One action-pool slot is one cache line.
+  static_assert(sizeof(EventFn) == 64);
+  static_assert(sizeof(CompletionFn) ==
+                CompletionFn::kInlineBytes + sizeof(void*));
   SUCCEED();
+}
+
+TEST(EventFn, EmplaceReplacesTheStoredCallable) {
+  Tracker::reset();
+  int calls = 0;
+  EventFn fn([t = Tracker{}] { (void)t; });
+  EXPECT_EQ(Tracker::live, 1);
+  fn.emplace([&calls] { ++calls; });
+  EXPECT_EQ(Tracker::live, 0);  // the old capture is destroyed first
+  fn();
+  EXPECT_EQ(calls, 1);
+
+  EventFn other([&calls] { calls += 10; });
+  fn.emplace(std::move(other));  // a SmallFn argument is moved in
+  EXPECT_FALSE(static_cast<bool>(other));  // NOLINT(bugprone-use-after-move)
+  fn();
+  EXPECT_EQ(calls, 11);
 }

@@ -36,6 +36,7 @@
 #include "util/table.hpp"
 #include "workload/programs.hpp"
 #include "workload/source.hpp"
+#include "workload/synthetic.hpp"
 #include "workload/trace_format.hpp"
 
 using namespace hepex;
@@ -58,7 +59,20 @@ cfg::Scenario scenario_from(const util::CliArgs& args) {
     s.platform_preset = *m;
     s.machine = hw::machine_by_name(*m);
   }
-  if (args.has("program") || args.has("class")) {
+  if (s.workload_grid) {
+    // A grid scenario names no program: --class regenerates its first
+    // point at the new input class, as `"class"` in the file would.
+    if (args.has("program")) {
+      fail_require(
+          "--program cannot replace a scenario's workload.grid; drop the "
+          "grid from the scenario to run one program");
+    }
+    if (const auto cls = args.get("class")) {
+      s.input = workload::input_class_from_string(*cls);
+      s.program = workload::make_synthetic(s.workload_grid->expand().front(),
+                                           s.input);
+    }
+  } else if (args.has("program") || args.has("class")) {
     s.program_name = args.get_or("program", s.program_name);
     if (const auto cls = args.get("class")) {
       s.input = workload::input_class_from_string(*cls);
