@@ -212,17 +212,13 @@ int run_json_mode(int argc, char** argv, const std::string& report_path) {
   const double events_per_s = sim_s > 0.0 ? events / sim_s : 0.0;
 
   // Allocation accounting (exported by the engine, see
-  // execution_engine.cpp): arena blocks and oversize cells are the only
-  // event-path allocations that reach operator new, so new-calls/event
-  // is the testable form of the zero-alloc steady-state claim. The
-  // action pool's chunks come out of those same arena blocks.
+  // execution_engine.cpp): action-pool chunks are the only event-path
+  // allocations that reach operator new, so new-calls/event is the
+  // testable form of the zero-alloc steady-state claim.
   const double pool_chunks = per_run("sim.calendar.slot_chunks");
   const double action_high_water = per_run("sim.calendar.slot_high_water");
   const double peak_pending = per_run("sim.calendar.peak_pending");
-  const double arena_blocks = per_run("sim.arena.blocks");
-  const double arena_oversize = per_run("sim.arena.oversize_allocs");
-  const double new_calls_per_event =
-      events > 0.0 ? (arena_blocks + arena_oversize) / events : 0.0;
+  const double new_calls_per_event = events > 0.0 ? pool_chunks / events : 0.0;
 
   bench::JsonWriter json;
   json.add("schema", hepex::util::schemas::kBenchPerf);
@@ -242,8 +238,6 @@ int run_json_mode(int argc, char** argv, const std::string& report_path) {
   json.add("sim_action_pool_chunks", pool_chunks);
   json.add("sim_action_high_water", action_high_water);
   json.add("sim_peak_pending", peak_pending);
-  json.add("sim_arena_blocks", arena_blocks);
-  json.add("sim_arena_oversize_allocs", arena_oversize);
   json.add("sim_new_calls_per_event", new_calls_per_event);
 
   const std::string content = json.str();
@@ -264,10 +258,10 @@ int run_json_mode(int argc, char** argv, const std::string& report_path) {
   std::printf("  simulator: %.3g events in %.3f ms (%.3g events/s)\n",
               events, sim_s * 1e3, events_per_s);
   std::printf("  allocs   : %.3g operator-new calls/event "
-              "(%.0f arena blocks + %.0f oversize; pool %.0f chunks, "
-              "high water %.0f actions, peak pending %.0f)\n",
-              new_calls_per_event, arena_blocks, arena_oversize,
-              pool_chunks, action_high_water, peak_pending);
+              "(pool %.0f chunks, high water %.0f actions, "
+              "peak pending %.0f)\n",
+              new_calls_per_event, pool_chunks, action_high_water,
+              peak_pending);
   std::printf("  json     : %s\n", json_path.c_str());
 
   // `--report PATH`: also emit the schema-versioned RunReport artifact

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "sim/arena.hpp"
 #include "util/error.hpp"
 
 namespace hepex::sim {
@@ -11,53 +10,15 @@ namespace hepex::sim {
 // ---------------------------------------------------------------------------
 // ActionPool
 
-ActionPool::~ActionPool() {
-  // Destroy actions still parked (an exception unwound through run(), or
-  // the simulator was dropped with events pending), then hand every
-  // chunk back to the arena.
-  if (live_count_ != 0) {
-    for (std::size_t s = 0; s < live_.size(); ++s) {
-      if (live_[s] != 0) slot_ptr(static_cast<std::uint32_t>(s))->~EventFn();
-    }
-  }
-  for (EventFn* chunk : chunks_) {
-    arena_free(chunk, kSlotsPerChunk * sizeof(EventFn));
-  }
-}
-
 void ActionPool::add_chunk() {
-  void* raw = arena_alloc(kSlotsPerChunk * sizeof(EventFn));
-  auto* chunk = static_cast<EventFn*>(raw);
-  const auto base =
-      static_cast<std::uint32_t>(chunks_.size()) * kSlotsPerChunk;
-  chunks_.push_back(chunk);
-  live_.resize(live_.size() + kSlotsPerChunk, 0);
+  auto& chunk = chunks_.emplace_back();
   // Chain the fresh slots onto the free list in descending order so they
-  // are handed out in ascending slot order (cache-friendly first pass).
-  free_.reserve(free_.size() + kSlotsPerChunk);
-  for (std::uint32_t i = kSlotsPerChunk; i-- > 0;) {
-    free_.push_back(base + i);
-  }
-}
-
-void ActionPool::release(std::uint32_t slot) {
-  slot_ptr(slot)->~EventFn();
-  live_[slot] = 0;
-  --live_count_;
-  free_.push_back(slot);
-}
-
-void ActionPool::reserve(std::size_t slots) {
-  while (chunks_.size() * kSlotsPerChunk < slots) add_chunk();
+  // are handed out in ascending address order (cache-friendly first pass).
+  for (std::size_t i = kSlotsPerChunk; i-- > 0;) free_.push_back(&chunk[i]);
 }
 
 // ---------------------------------------------------------------------------
 // EventCalendar
-
-void EventCalendar::reserve(std::size_t pending) {
-  heap_.reserve(pending);
-  pool_.reserve(pending);
-}
 
 void EventCalendar::link(const Key& k) {
   heap_.push_back(k);
@@ -95,7 +56,7 @@ EventCalendar::Fired EventCalendar::pop() {
     }
     heap_[i] = last;
   }
-  return Fired{top.time, top.slot};
+  return Fired{top.time, top.action};
 }
 
 CalendarStats EventCalendar::stats() const {

@@ -2,14 +2,12 @@
 /// \file calendar.hpp
 /// \brief Event calendar: one flat 4-ary min-heap of `(time, seq)` keys.
 ///
-/// The single global `std::priority_queue<Event>` the simulator started
-/// with moved whole 112-byte events (a 96-byte action buffer plus key)
-/// through every heap sift. This calendar keeps one global heap but
-/// makes each sift cheap:
+/// The calendar keeps every pending event in one global heap and makes
+/// each sift cheap:
 ///
 ///  * **Actions are parked, not moved.** Every scheduled `EventFn` lives
 ///    in an `ActionPool` slot with a stable address until it fires; the
-///    heap orders 24-byte POD keys `(time, seq, slot)`.
+///    heap orders 24-byte POD keys `(time, seq, action)`.
 ///  * **The heap is 4-ary.** Half the levels of a binary heap, and the
 ///    four children of a node sit in 96 contiguous bytes, so a pop at
 ///    1000 nodes (~2,000 pending) touches ~6 levels of adjacent keys.
@@ -20,8 +18,10 @@
 /// tests/sim/test_calendar.cpp against a reference queue and by the
 /// tests/trace golden calendar-equivalence suite).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -31,8 +31,7 @@
 
 namespace hepex::sim {
 
-/// Allocation/occupancy counters of a calendar (see also
-/// `sim::arena_stats()` for the action-capture overflow arena).
+/// Allocation/occupancy counters of a calendar.
 struct CalendarStats {
   std::uint64_t slot_acquires = 0;   ///< actions parked over the lifetime
   std::uint64_t slot_chunks = 0;     ///< action-pool chunks allocated
@@ -40,61 +39,49 @@ struct CalendarStats {
   std::uint64_t peak_pending = 0;    ///< max simultaneously pending events
 };
 
-/// Chunked, stable-address pool of `EventFn` slots. Slots are recycled
-/// through a free list; chunks are only ever added, so a parked action
-/// never moves and growth allocations amortize to zero in steady state.
+/// Stable-address pool of `EventFn` slots: a deque of 64-slot chunks of
+/// empty actions. Freed slots are recycled through a free list, and a
+/// deque never moves its elements when it grows, so a parked action
+/// keeps its address until it is released. Dropping the pool destroys
+/// every action still parked, including one that threw while firing.
 class ActionPool {
  public:
   ActionPool() = default;
   ActionPool(const ActionPool&) = delete;
   ActionPool& operator=(const ActionPool&) = delete;
-  ~ActionPool();
 
-  /// Park an action; returns its slot index. Templated so a caller's
-  /// lambda constructs the `EventFn` directly in the slot — the hot
-  /// schedule path never moves an action's capture buffer.
+  /// Park an action; returns its slot. Templated so a caller's lambda
+  /// constructs the `EventFn` directly in the slot — the hot schedule
+  /// path never moves an action's capture buffer.
   template <typename F>
-  std::uint32_t acquire(F&& fn) {
+  EventFn* acquire(F&& fn) {
     if (free_.empty()) add_chunk();
-    const std::uint32_t slot = free_.back();
+    EventFn* slot = free_.back();
+    slot->emplace(std::forward<F>(fn));
     free_.pop_back();
-    ::new (static_cast<void*>(slot_ptr(slot))) EventFn(std::forward<F>(fn));
-    live_[slot] = 1;
-    ++live_count_;
     ++acquires_;
-    if (live_count_ > high_water_) high_water_ = live_count_;
+    const std::uint64_t parked = chunks_.size() * kSlotsPerChunk - free_.size();
+    if (parked > high_water_) high_water_ = parked;
     return slot;
   }
-  /// The action parked at `slot`.
-  EventFn& at(std::uint32_t slot) {
-    return *slot_ptr(slot);
+  /// Destroy the action in `slot` and recycle the slot.
+  void release(EventFn* slot) {
+    *slot = EventFn{};
+    free_.push_back(slot);
   }
-  /// Destroy the action at `slot` and recycle the slot.
-  void release(std::uint32_t slot);
-  /// Pre-allocate chunks for `slots` simultaneous actions.
-  void reserve(std::size_t slots);
 
   std::uint64_t acquires() const { return acquires_; }
   std::uint64_t chunks() const { return chunks_.size(); }
   std::uint64_t high_water() const { return high_water_; }
 
  private:
-  // 64 slots * sizeof(EventFn) per chunk; allocated through the arena
-  // (sim/arena.hpp), the one sanctioned allocation site in src/sim.
-  static constexpr std::uint32_t kSlotsPerChunkLog2 = 6;
-  static constexpr std::uint32_t kSlotsPerChunk = 1u << kSlotsPerChunkLog2;
+  static constexpr std::size_t kSlotsPerChunk = 64;
 
-  EventFn* slot_ptr(std::uint32_t slot) {
-    return chunks_[slot >> kSlotsPerChunkLog2] +
-           (slot & (kSlotsPerChunk - 1));
-  }
   void add_chunk();
 
-  std::vector<EventFn*> chunks_;
-  std::vector<std::uint32_t> free_;
-  std::vector<char> live_;  ///< per-slot liveness, for unwind cleanup
+  std::deque<std::array<EventFn, kSlotsPerChunk>> chunks_;
+  std::vector<EventFn*> free_;
   std::uint64_t acquires_ = 0;
-  std::uint64_t live_count_ = 0;
   std::uint64_t high_water_ = 0;
 };
 
@@ -120,26 +107,20 @@ class EventCalendar {
     return heap_.front().time;
   }
 
-  /// A popped event: the action stays parked at `slot` until the caller
-  /// releases it (so it can run in place, and so it survives its own
-  /// execution even when firing reallocates heap storage).
+  /// A popped event: the action stays parked in its slot until the
+  /// caller releases it (so it can run in place, and so it survives its
+  /// own execution even when firing grows the pool or the heap).
   struct Fired {
     q::Seconds time;
-    std::uint32_t slot;
+    EventFn* action;
   };
 
   /// Remove the earliest event from the heap. The action remains
-  /// parked; call `run_slot` then `release_slot`.
+  /// parked; invoke it, then `release` it.
   Fired pop();
 
-  /// Invoke the action parked at `slot` (may push new events).
-  void run_slot(std::uint32_t slot) { pool_.at(slot)(); }
-  /// Destroy the action at `slot` and recycle the slot.
-  void release_slot(std::uint32_t slot) { pool_.release(slot); }
-
-  /// Pre-size for `pending` simultaneous events: heap storage and
-  /// `pending` action-pool slots.
-  void reserve(std::size_t pending);
+  /// Destroy a fired action and recycle its slot.
+  void release(EventFn* action) { pool_.release(action); }
 
   /// Lifetime counters (peak occupancy, pool chunks).
   CalendarStats stats() const;
@@ -149,8 +130,9 @@ class EventCalendar {
   struct Key {
     q::Seconds time;
     std::uint64_t seq;
-    std::uint32_t slot;
+    EventFn* action;
   };
+  static_assert(sizeof(Key) == 24, "a heap key is three words");
   static bool earlier(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;

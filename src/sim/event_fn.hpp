@@ -4,12 +4,10 @@
 ///
 /// The discrete-event kernel schedules hundreds of thousands of closures
 /// per run; with `std::function` every capture beyond the two-word SBO
-/// paid a heap allocation *per scheduled event*. `SmallFn` keeps an
-/// inline buffer sized for the engine's captures so the steady-state
-/// event path allocates nothing; captures that do overflow the buffer
-/// are placed in the simulator's thread-local overflow arena
-/// (sim/arena.hpp) — recycled cells, not `operator new` — so even the
-/// overflow path is allocation-free once warm.
+/// paid a heap allocation *per scheduled event*. `SmallFn` stores its
+/// callable in an inline buffer and nowhere else: a capture that does
+/// not fit (too large, too strictly aligned, or with a move that can
+/// throw) is a compile error, so the event path never allocates.
 ///
 /// Two instantiations cover the engine, each sized so that the record
 /// holding it fills one 64-byte cache line:
@@ -26,8 +24,7 @@
 ///
 /// Buffers are aligned to `void*`, not `max_align_t`: every engine
 /// capture is made of pointers, ints and doubles, and the weaker
-/// alignment is what keeps both records free of padding. A capture with
-/// stricter alignment goes to the arena like an oversized one.
+/// alignment is what keeps both records free of padding.
 ///
 /// Move-only on purpose: event actions are scheduled once and fired once;
 /// copyability is what forces `std::function` to heap-allocate shared
@@ -38,13 +35,12 @@
 #include <type_traits>
 #include <utility>
 
-#include "sim/arena.hpp"
 #include "util/quantity.hpp"
 
 namespace hepex::sim {
 
-/// Move-only `void(Args...)` callable with `InlineBytes` of inline
-/// storage and arena-backed overflow.
+/// Move-only `void(Args...)` callable stored in `InlineBytes` of inline
+/// storage.
 template <std::size_t InlineBytes, typename... Args>
 class SmallFn {
   /// Any `void(Args...)` callable except a SmallFn itself.
@@ -97,13 +93,6 @@ class SmallFn {
   /// Invoke the stored callable (must not be empty).
   void operator()(Args... args) { ops_->invoke(buf_, args...); }
 
-  /// Whether a callable of type F would be stored inline (exposed for the
-  /// allocation-behaviour tests).
-  template <typename F>
-  static constexpr bool stores_inline() {
-    return fits_inline<std::decay_t<F>>();
-  }
-
  private:
   struct Ops {
     void (*invoke)(void* self, Args... args);
@@ -111,12 +100,6 @@ class SmallFn {
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* self) noexcept;
   };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(void*) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
 
   template <typename Fn>
   struct InlineOps {
@@ -131,35 +114,17 @@ class SmallFn {
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
-  template <typename Fn>
-  struct ArenaOps {
-    static Fn*& slot(void* p) {
-      return *std::launder(reinterpret_cast<Fn**>(p));
-    }
-    static void invoke(void* p, Args... args) { (*slot(p))(args...); }
-    static void relocate(void* dst, void* src) noexcept {
-      ::new (dst) Fn*(slot(src));
-    }
-    static void destroy(void* p) noexcept {
-      Fn* cell = slot(p);
-      cell->~Fn();
-      arena_free(cell, sizeof(Fn));
-    }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
-  };
-
   template <typename F>
   void construct(F&& f) {
     using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
-    } else {
-      void* cell = arena_alloc(sizeof(Fn));
-      ::new (cell) Fn(std::forward<F>(f));
-      ::new (static_cast<void*>(buf_)) Fn*(static_cast<Fn*>(cell));
-      ops_ = &ArenaOps<Fn>::ops;
-    }
+    static_assert(sizeof(Fn) <= kInlineBytes,
+                  "capture does not fit this SmallFn's inline buffer");
+    static_assert(alignof(Fn) <= alignof(void*),
+                  "capture is aligned more strictly than void*");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "capture's move constructor may throw");
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    ops_ = &InlineOps<Fn>::ops;
   }
 
   void reset() noexcept {

@@ -15,8 +15,8 @@ std::size_t Simulator::run(std::size_t max_events) {
     now_ = fired.time;
     // The action runs in its pool slot (stable address), so it may
     // schedule new events while alive.
-    calendar_.run_slot(fired.slot);
-    calendar_.release_slot(fired.slot);
+    (*fired.action)();
+    calendar_.release(fired.action);
     ++processed;
     ++processed_;
   }
@@ -32,8 +32,8 @@ std::size_t Simulator::run_until(SimTime t_end) {
   while (!calendar_.empty() && calendar_.top_time() <= t_end) {
     const auto fired = calendar_.pop();
     now_ = fired.time;
-    calendar_.run_slot(fired.slot);
-    calendar_.release_slot(fired.slot);
+    (*fired.action)();
+    calendar_.release(fired.action);
     ++processed;
     ++processed_;
   }

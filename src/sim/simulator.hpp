@@ -28,8 +28,8 @@ using SimTime = q::Seconds;
 /// Discrete-event simulator: a virtual clock plus an event calendar.
 class Simulator {
  public:
-  /// Event actions are small-buffer-optimized (see event_fn.hpp): the
-  /// common engine captures schedule without a heap allocation.
+  /// Event actions are stored inline (see event_fn.hpp): scheduling one
+  /// never heap-allocates its capture.
   using Action = EventFn;
 
   /// Current virtual time.
@@ -76,12 +76,6 @@ class Simulator {
   /// True when no events remain.
   bool empty() const { return calendar_.empty(); }
 
-  /// Pre-size the calendar for `pending` simultaneous events: heap
-  /// storage and `pending` action-pool slots. The execution engine calls
-  /// this with its outstanding-event estimate to avoid early growth
-  /// reallocations.
-  void reserve(std::size_t pending) { calendar_.reserve(pending); }
-
   /// Number of events scheduled over the simulator's lifetime.
   std::uint64_t total_scheduled() const { return seq_; }
 
@@ -91,7 +85,7 @@ class Simulator {
   std::uint64_t total_processed() const { return processed_; }
 
   /// Calendar occupancy/allocation counters (action-pool chunks, peak
-  /// pending depth); see also sim::arena_stats() for overflow captures.
+  /// pending depth).
   CalendarStats calendar_stats() const { return calendar_.stats(); }
 
  private:

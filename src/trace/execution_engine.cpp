@@ -18,7 +18,6 @@
 #include "obs/registry.hpp"
 #include "obs/span_agg.hpp"
 #include "obs/trace_sink.hpp"
-#include "sim/arena.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
@@ -113,10 +112,6 @@ struct Run {
 
   sim::Simulator sim;
   util::Rng rng;
-  /// Arena counters at construction: the overflow arena is thread-local
-  /// and outlives individual runs, so per-run figures are deltas against
-  /// this snapshot (exported under sim.arena.* when metrics are on).
-  const sim::ArenaStats arena_start = sim::arena_stats();
 
   std::vector<std::unique_ptr<sim::Resource>> mem;    // one per node
   std::vector<std::unique_ptr<sim::Resource>> stack;  // per-node MPI/TCP stack
@@ -230,14 +225,6 @@ struct Run {
     reg = opt.metrics;
     agg = opt.spans;
     attach_observability();
-
-    // Steady-state calendar depth: every core can have one compute chunk
-    // outstanding, plus per-node memory/stack completions and up to a
-    // node's worth of in-flight wire transfers, watchdogs and
-    // checkpoints. reserve() sizes the heap and the action pool.
-    sim.reserve(static_cast<std::size_t>(cfg.nodes) *
-                    (static_cast<std::size_t>(cfg.cores) + 8) +
-                64);
   }
 
   const hw::Isa& isa() const { return machine.node.isa; }
@@ -963,24 +950,14 @@ struct Run {
       reg->counter("sim.events_processed").add(sim.total_processed());
       reg->counter("sim.events_scheduled").add(sim.total_scheduled());
       // Allocation accounting for the zero-alloc steady-state claim
-      // (docs/performance.md): slot_chunks and arena blocks/oversize are
-      // the only paths that can reach operator new on the event hot
-      // path, so their totals against events_processed give heap
-      // allocations per event.
+      // (docs/performance.md): action-pool chunks are the only path that
+      // can reach operator new on the event hot path, so slot_chunks
+      // against events_processed gives heap allocations per event.
       const sim::CalendarStats cal = sim.calendar_stats();
       reg->counter("sim.calendar.slot_acquires").add(cal.slot_acquires);
       reg->counter("sim.calendar.slot_chunks").add(cal.slot_chunks);
       reg->counter("sim.calendar.slot_high_water").add(cal.slot_high_water);
       reg->counter("sim.calendar.peak_pending").add(cal.peak_pending);
-      const sim::ArenaStats arena = sim::arena_stats();
-      reg->counter("sim.arena.overflow_allocs")
-          .add(arena.overflow_allocs - arena_start.overflow_allocs);
-      reg->counter("sim.arena.fresh_cells")
-          .add(arena.fresh_cells - arena_start.fresh_cells);
-      reg->counter("sim.arena.blocks")
-          .add(arena.blocks - arena_start.blocks);
-      reg->counter("sim.arena.oversize_allocs")
-          .add(arena.oversize_allocs - arena_start.oversize_allocs);
       reg->counter("engine.iterations")
           .add(static_cast<std::uint64_t>(iteration));
       reg->counter("net.messages")

@@ -2,8 +2,9 @@
 # Pins that `hepex advise --budget J --deadline S` answers from the
 # frontier table the same run prints: the budget picks the fastest row
 # whose energy fits it, the deadline the least-energy row that meets it,
-# and an infeasible budget or deadline gets a plain "no configuration"
-# line. Usage:
+# an infeasible budget or deadline gets a plain "no configuration" line,
+# and an invalid one is rejected (exit 2) before anything is printed or
+# written. Usage:
 #
 #   advise_budget.sh <hepex-binary>
 set -eu
@@ -68,5 +69,23 @@ grep -q '^budget 1 J: no configuration fits it$' "$tmp/none.txt" &&
   cat "$tmp/none.txt" >&2
   exit 1
 }
+
+# 3. A non-positive or NaN deadline or budget exits 2 with nothing on
+#    stdout and no --report file.
+for flag in --deadline=0 --deadline=-5 --deadline=nan --budget=0 \
+            --budget=-1J; do
+  rm -f "$tmp/bad.json"
+  rc=0
+  # shellcheck disable=SC2086
+  "$hepex" advise $run "$flag" --report "$tmp/bad.json" \
+    > "$tmp/bad.txt" 2> "$tmp/bad.err" || rc=$?
+  if [ "$rc" -ne 2 ] || [ -s "$tmp/bad.txt" ] || [ -e "$tmp/bad.json" ]; then
+    echo "FAIL: advise $flag exited $rc (want 2), printed" \
+         "$(wc -l < "$tmp/bad.txt") stdout lines (want 0), report" \
+         "file $([ -e "$tmp/bad.json" ] && echo written || echo absent)" >&2
+    cat "$tmp/bad.err" >&2
+    exit 1
+  fi
+done
 
 echo "advise budget OK"

@@ -72,8 +72,8 @@ std::vector<std::uint64_t> drain(EventCalendar& cal,
     EXPECT_EQ(ev.time, top) << "top_time disagrees with pop";
     EXPECT_GE(ev.time.value(), last_time) << "time went backwards";
     last_time = ev.time.value();
-    cal.run_slot(ev.slot);
-    cal.release_slot(ev.slot);
+    (*ev.action)();
+    cal.release(ev.action);
   }
   return fired;
 }
@@ -186,8 +186,8 @@ TEST(ShardedCalendar, ReentrantPushDuringDrain) {
   while (!cal.empty()) {
     const auto ev = cal.pop();
     const auto want = ref.pop();
-    cal.run_slot(ev.slot);
-    cal.release_slot(ev.slot);
+    (*ev.action)();
+    cal.release(ev.action);
     ASSERT_EQ(fired.size(), pops + 1);
     EXPECT_EQ(fired.back(), want) << "pop " << pops;
     EXPECT_EQ(ev.time.value(), want.first) << "pop " << pops;
@@ -234,8 +234,8 @@ TEST(ShardedCalendar, DeepTiedMonotoneRunsMatchReferencePopByPop) {
   while (!cal.empty()) {
     const auto ev = cal.pop();
     const auto want = ref.pop();
-    cal.run_slot(ev.slot);
-    cal.release_slot(ev.slot);
+    (*ev.action)();
+    cal.release(ev.action);
     ASSERT_EQ(fired.back(), want) << "pop " << pops;
     ASSERT_GE(ev.time.value(), last_time);
     last_time = ev.time.value();
@@ -272,23 +272,6 @@ TEST(ShardedCalendar, DrainAndRefill) {
   EXPECT_EQ(stats.peak_pending, 50u);
   EXPECT_EQ(stats.slot_high_water, 50u);
   EXPECT_EQ(stats.slot_chunks, 1u);  // 50 live slots fit one 64-slot chunk
-}
-
-TEST(ShardedCalendar, ReservePresizesPool) {
-  EventCalendar cal;
-  cal.reserve(200);
-  EXPECT_GE(cal.stats().slot_chunks, 4u);  // ceil(200 / 64) chunks up front
-  std::vector<std::uint64_t> fired;
-  std::vector<Ref> refs;
-  for (std::uint64_t seq = 0; seq < 200; ++seq) {
-    refs.push_back(Ref{static_cast<double>(seq % 11), seq});
-    cal.push(q::Seconds{refs.back().time}, seq,
-             [&fired, seq] { fired.push_back(seq); });
-  }
-  const auto chunks_after_reserve = cal.stats().slot_chunks;
-  EXPECT_EQ(drain(cal, fired), reference_order(refs));
-  EXPECT_EQ(cal.stats().slot_chunks, chunks_after_reserve)
-      << "pushes after reserve() must not grow the pool";
 }
 
 TEST(ShardedCalendar, PendingActionsDestroyedOnCalendarDrop) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -164,6 +165,26 @@ TEST(Simulator, ZeroDelayFiresAtCurrentTime) {
   });
   sim.run();
   EXPECT_EQ(sim.now(), SimTime{2.0});
+}
+
+TEST(Simulator, ThrowingActionIsDestroyedWithTheSimulator) {
+  // An action that throws out of run() is popped but never released, and
+  // the two events it scheduled stay parked. Dropping the simulator must
+  // still destroy all three captures; a shared_ptr count is the witness.
+  auto token = std::make_shared<int>(7);
+  {
+    Simulator sim;
+    sim.schedule(SimTime{1.0}, [&sim, token] {
+      sim.schedule(SimTime{1.0}, [token] { (void)*token; });
+      sim.schedule(SimTime{2.0}, [token] { (void)*token; });
+      throw std::runtime_error("action failed");
+    });
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 4);  // the thrower and both parked events
+    EXPECT_FALSE(sim.empty());
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // hepex-lint-fixture-expect: sim-hot-path-alloc
 // Fixture: every raw-heap-allocation form the simulator hot path must
 // not contain. The "sim_" name prefix makes the self-test lint this as
-// src/sim/<name> (the rule is scoped to src/sim outside arena.*).
+// src/sim/<name> (the rule covers all of src/sim).
 // Placement new and a justified suppression stay silent. NOT compiled —
 // linted by `hepex_lint --self-test` (tools.hepex_lint_fixtures).
 #include <cstddef>
@@ -26,7 +26,7 @@ void* raw_cell(std::size_t n) {
 
 Node* park(void* cell) {
   // Placement new into an already-owned cell allocates nothing — this is
-  // how EventFn actions are parked in ActionPool slots.
+  // how SmallFn builds a capture in its inline buffer.
   return ::new (cell) Node{};
 }
 

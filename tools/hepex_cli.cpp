@@ -13,6 +13,7 @@
 #include <exception>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -215,6 +216,22 @@ int advise_grid(const util::CliArgs& args, const cfg::Scenario& s) {
 int cmd_advise(const util::CliArgs& args) {
   const cfg::Scenario s = scenario_from(args);
   if (s.workload_grid) return advise_grid(args, s);
+  // Check the query flags before anything is printed or written; the
+  // negated comparisons also reject NaN.
+  std::optional<q::Seconds> deadline;
+  if (const auto raw = args.get("deadline")) {
+    deadline = util::parse_duration(*raw);
+    if (!(*deadline > q::Seconds{})) {
+      fail_require("--deadline must be positive, got '" + *raw + "'");
+    }
+  }
+  std::optional<q::Joules> budget;
+  if (const auto raw = args.get("budget")) {
+    budget = util::parse_energy(*raw);
+    if (!(*budget > q::Joules{})) {
+      fail_require("--budget must be positive, got '" + *raw + "'");
+    }
+  }
   core::Advisor advisor = core::Advisor::from_scenario(s);
   std::printf("advice for %s (class %s) on %s:\n", s.program.name.c_str(),
               workload::to_string(s.input).c_str(), s.machine.name.c_str());
@@ -224,20 +241,18 @@ int cmd_advise(const util::CliArgs& args) {
     print_choice("minimum energy", *best);
   }
   write_outputs(s, res);
-  if (args.has("deadline")) {
-    const q::Seconds deadline = duration_or(args, "deadline", 0.0);
-    const std::string label = "deadline " + util::fmt(deadline.value(), 1) +
+  if (deadline) {
+    const std::string label = "deadline " + util::fmt(deadline->value(), 1) +
                               " s";
-    if (const auto rec = advisor.for_deadline(deadline)) {
+    if (const auto rec = advisor.for_deadline(*deadline)) {
       print_choice(label, rec->point);
     } else {
       std::printf("%s: no configuration meets it\n", label.c_str());
     }
   }
-  if (const auto braw = args.get("budget")) {
-    const q::Joules budget = util::parse_energy(*braw);
-    const std::string label = "budget " + util::fmt(budget.value(), 0) + " J";
-    if (const auto rec = advisor.for_budget(budget)) {
+  if (budget) {
+    const std::string label = "budget " + util::fmt(budget->value(), 0) + " J";
+    if (const auto rec = advisor.for_budget(*budget)) {
       print_choice(label, rec->point);
     } else {
       std::printf("%s: no configuration fits it\n", label.c_str());

@@ -16,10 +16,10 @@ The repo makes three promises that no compiler flag checks:
     std::runtime_error with a "hepex: " prefix; bare throw/abort/assert
     bypass the contract;
   * allocation discipline -- the simulator's event hot path performs zero
-    raw heap allocations steady-state (docs/performance.md); sim/arena.*
-    is the one sanctioned operator-new site inside src/sim, so raw
-    new/make_unique/make_shared anywhere else in src/sim is an error
-    (placement new into an already-owned cell is fine);
+    raw heap allocations steady-state (docs/performance.md); src/sim
+    allocates only through standard containers, so raw
+    new/make_unique/make_shared anywhere in src/sim is an error
+    (placement new into already-owned storage is fine);
 
 plus one mechanical one: every "hepex-<kind>/<N>" schema identifier is
 spelled exactly once, in src/util/schemas.hpp.
@@ -416,8 +416,8 @@ _NEW_RE = re.compile(r"\bnew\b")
 
 
 def check_sim_alloc(relpath: str, lx: Lexed) -> list[Finding]:
-    if not _in(relpath, ("src/sim/",)) or _in(relpath, ("src/sim/arena.",)):
-        return []  # arena.* is the sanctioned allocation site
+    if not _in(relpath, ("src/sim/",)):
+        return []
     out = []
     for ln, code in _code_lines(lx):
         if code.lstrip().startswith("#"):
@@ -429,8 +429,8 @@ def check_sim_alloc(relpath: str, lx: Lexed) -> list[Finding]:
                     ln,
                     "sim-hot-path-alloc",
                     "std::make_unique/make_shared heap-allocates on the "
-                    "simulator hot path; park state in arena cells "
-                    "(src/sim/arena.hpp) or preallocated slabs",
+                    "simulator hot path; keep state in a standard "
+                    "container that grows outside the event loop",
                 )
             )
         for m in _NEW_RE.finditer(code):
@@ -443,9 +443,9 @@ def check_sim_alloc(relpath: str, lx: Lexed) -> list[Finding]:
                         relpath,
                         ln,
                         "sim-hot-path-alloc",
-                        "operator new outside sim/arena.* breaks the "
-                        "zero-allocation steady-state contract; route "
-                        "through arena_alloc (src/sim/arena.hpp)",
+                        "operator new in src/sim breaks the "
+                        "zero-allocation steady-state contract; let a "
+                        "standard container own the memory",
                     )
                 )
             elif after.startswith("("):
@@ -461,8 +461,8 @@ def check_sim_alloc(relpath: str, lx: Lexed) -> list[Finding]:
                         "sim-hot-path-alloc",
                         "raw new on the simulator hot path; the event "
                         "engine promises zero operator-new calls per event "
-                        "-- use arena cells (src/sim/arena.hpp) or "
-                        "placement new into preallocated storage",
+                        "-- use a standard container, or placement new "
+                        "into storage it already owns",
                     )
                 )
     return out
@@ -501,7 +501,7 @@ RULES: list[Rule] = [
     ),
     Rule(
         "sim-hot-path-alloc",
-        "no raw new/make_unique/make_shared in src/sim outside arena.*",
+        "no raw new/make_unique/make_shared in src/sim",
         check_sim_alloc,
     ),
 ]
