@@ -1,21 +1,14 @@
-// Library performance baseline. Two modes:
-//
-//  default        measure the hot paths with std::chrono and emit a
-//                 machine-readable BENCH_perf.json (schema
-//                 "hepex-bench-perf/1"): model-sweep wall time at several
-//                 job counts, serial-vs-parallel speedup, frontier
-//                 extraction time, simulator event throughput. Exits 1
-//                 if a parallel sweep is not bit-identical to the serial
-//                 one — CI runs this as the perf smoke test.
-//  --gbench       the original google-benchmark microbenchmark suite
-//                 (per-call timings with statistical repetition).
+// Library performance baseline: measure the hot paths with std::chrono
+// and emit a machine-readable BENCH_perf.json (schema
+// "hepex-bench-perf/1"): model-sweep wall time at several job counts,
+// serial-vs-parallel speedup, frontier extraction time, simulator event
+// throughput. Exits 1 if a parallel sweep is not bit-identical to the
+// serial one — CI runs this as the perf smoke test.
 //
 // Flags: --jobs N (parallel job count to measure against serial; default
 // 4), --json PATH (where to write the JSON; default BENCH_perf.json),
-// --profile, --gbench. Not a paper artefact — this guards the library's
-// own performance.
-
-#include <benchmark/benchmark.h>
+// --report PATH, --profile. Not a paper artefact — this guards the
+// library's own performance.
 
 #include <chrono>
 #include <cstdio>
@@ -40,84 +33,6 @@ const model::Characterization& cached_ch() {
       bench::characterize_program(bench::machine("xeon"), "SP");
   return ch;
 }
-
-// --- google-benchmark suite (--gbench) ------------------------------
-
-void BM_SimulateSmall(benchmark::State& state) {
-  const auto machine = bench::machine("xeon");
-  const auto program =
-      workload::program_by_name("SP", workload::InputClass::kS);
-  const hw::ClusterConfig cfg{static_cast<int>(state.range(0)), 4,
-                              q::Hertz{1.8e9}};
-  trace::SimOptions opt;
-  for (auto _ : state) {
-    opt.seed++;
-    benchmark::DoNotOptimize(trace::simulate(machine, program, cfg, opt));
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 5000.0,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulateSmall)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_Predict(benchmark::State& state) {
-  const auto& ch = cached_ch();
-  const auto target =
-      model::target_of(workload::make_sp(workload::InputClass::kA));
-  const hw::ClusterConfig cfg{static_cast<int>(state.range(0)), 8,
-                              q::Hertz{1.8e9}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model::predict(ch, target, cfg));
-  }
-}
-BENCHMARK(BM_Predict)->Arg(1)->Arg(8)->Arg(256);
-
-void BM_SweepModelSpace(benchmark::State& state) {
-  const auto& ch = cached_ch();
-  const auto target =
-      model::target_of(workload::make_sp(workload::InputClass::kA));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pareto::sweep_model_space(ch, target, static_cast<int>(state.range(0))));
-  }
-  state.counters["configs/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 216.0,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SweepModelSpace)->Arg(1)->Arg(0);
-
-void BM_ParetoFrontier(benchmark::State& state) {
-  const auto& ch = cached_ch();
-  const auto target =
-      model::target_of(workload::make_sp(workload::InputClass::kA));
-  const auto points = pareto::sweep_model_space(ch, target);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pareto::pareto_frontier(points));
-  }
-}
-BENCHMARK(BM_ParetoFrontier);
-
-void BM_Characterize(benchmark::State& state) {
-  const auto machine = bench::machine("arm");
-  const auto program = workload::make_bt(workload::InputClass::kA);
-  model::CharacterizationOptions o;
-  o.baseline_class = workload::InputClass::kS;
-  o.sim.chunks_per_iteration = 4;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model::characterize(machine, program, o));
-  }
-}
-BENCHMARK(BM_Characterize);
-
-void BM_NetPipeSweep(benchmark::State& state) {
-  const auto machine = bench::machine("arm");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trace::netpipe_sweep(machine, q::Hertz{1.4e9}));
-  }
-}
-BENCHMARK(BM_NetPipeSweep);
-
-// --- JSON baseline mode (default) -----------------------------------
 
 /// Best-of-`reps` wall time of `fn()`, in seconds. Best-of (not mean)
 /// rejects one-off scheduler noise, which matters on shared CI runners.
@@ -292,35 +207,5 @@ int run_json_mode(int argc, char** argv, const std::string& report_path) {
 
 int main(int argc, char** argv) {
   bench::ProfileSession profile(argc, argv);
-  bool gbench = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--gbench") == 0) gbench = true;
-  }
-  if (gbench) {
-    // Hand google-benchmark an argv without the flags it doesn't know.
-    std::vector<char*> gb_argv;
-    for (int i = 0; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--gbench") == 0 ||
-          std::strcmp(argv[i], "--profile") == 0 ||
-          std::strncmp(argv[i], "--jobs", 6) == 0 ||
-          std::strncmp(argv[i], "--json", 6) == 0 ||
-          std::strncmp(argv[i], "--report", 8) == 0) {
-        // --jobs N / --json PATH / --report PATH consume the next token.
-        if ((std::strcmp(argv[i], "--jobs") == 0 ||
-             std::strcmp(argv[i], "--json") == 0 ||
-             std::strcmp(argv[i], "--report") == 0) &&
-            i + 1 < argc) {
-          ++i;
-        }
-        continue;
-      }
-      gb_argv.push_back(argv[i]);
-    }
-    int gb_argc = static_cast<int>(gb_argv.size());
-    benchmark::Initialize(&gb_argc, gb_argv.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
   return run_json_mode(argc, argv, profile.report_path());
 }

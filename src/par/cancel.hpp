@@ -2,42 +2,59 @@
 /// \file cancel.hpp
 /// \brief Cooperative cancellation for parallel sweeps (hepex::par).
 ///
-/// A `CancelToken` is a one-way latch another thread flips; work observes
-/// it *cooperatively* — nothing is interrupted, no thread is killed. The
+/// A `CancelToken` is a one-way latch, flipped by `cancel()` from any
+/// thread or by its own deadline passing; work observes it
+/// *cooperatively* — nothing is interrupted, no thread is killed. The
 /// contract mirrors how `hepexd` uses it (docs/service.md):
 ///
 ///  - the owner of a piece of work (a service request handler) creates a
-///    token and installs it on its thread with a `CancelScope`;
+///    token, with the request's deadline, and installs it on its thread
+///    with a `CancelScope`;
 ///  - every `parallel_for`/`parallel_map` under that scope re-installs
 ///    the token on the workers executing its chunks and checks it at
 ///    chunk entry and between elements;
 ///  - the simulator's iteration loop calls `check_cancel()` once per
 ///    simulated iteration, so single long runs abandon too;
-///  - a watchdog (or signal handler) calls `token.cancel()`; the next
-///    check throws `par::Cancelled`, which drains the parallel region
-///    and propagates to the scope owner like any first exception.
+///  - once the deadline has passed (or someone calls `token.cancel()`),
+///    the next check throws `par::Cancelled`, which drains the parallel
+///    region and propagates to the scope owner like any first exception.
+///    No thread watches the clock: the checkpoints read it.
 ///
 /// Determinism is untouched: a sweep that is *not* cancelled performs
 /// exactly the per-element computation it always did (the checks read one
-/// relaxed atomic and branch), and a cancelled sweep produces no result
-/// at all — there is no partial-result path.
+/// relaxed atomic, plus the clock when a deadline is set, and branch),
+/// and a cancelled sweep produces no result at all — there is no
+/// partial-result path.
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 
 namespace hepex::par {
 
-/// One-way cancellation latch. Thread-safe; `cancel()` may race with any
-/// number of `cancelled()` readers.
+/// One-way cancellation latch with an optional deadline. Thread-safe;
+/// `cancel()` may race with any number of `cancelled()` readers.
 class CancelToken {
  public:
+  using Clock = std::chrono::steady_clock;
+
+  /// No deadline: cancelled only by `cancel()`.
+  CancelToken() = default;
+  /// Cancelled by `cancel()` or once `Clock::now()` reaches `deadline`.
+  explicit CancelToken(Clock::time_point deadline) noexcept
+      : deadline_(deadline), has_deadline_(true) {}
+
   void cancel() noexcept { flag_.store(true, std::memory_order_relaxed); }
+  /// One relaxed load without a deadline; with one, also a clock read.
   bool cancelled() const noexcept {
-    return flag_.load(std::memory_order_relaxed);
+    return flag_.load(std::memory_order_relaxed) ||
+           (has_deadline_ && Clock::now() >= deadline_);
   }
 
  private:
   std::atomic<bool> flag_{false};
+  Clock::time_point deadline_{};
+  bool has_deadline_ = false;
 };
 
 /// Thrown (from the cooperating thread itself) when the active token has
@@ -52,7 +69,8 @@ class Cancelled : public std::runtime_error {
 const CancelToken* current_cancel_token() noexcept;
 
 /// Throw `Cancelled` when the calling thread's active token (if any) has
-/// been cancelled. The cheap cooperative checkpoint: one relaxed load.
+/// been cancelled or is past its deadline. The cheap cooperative
+/// checkpoint: one relaxed load when the token has no deadline.
 void check_cancel();
 
 /// RAII installer: makes `token` the calling thread's active token for

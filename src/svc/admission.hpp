@@ -1,119 +1,116 @@
 #pragma once
 /// \file admission.hpp
-/// \brief Bounded request queue — hepexd's admission-control point.
+/// \brief FIFO admission gate — hepexd's admission-control point.
 ///
-/// Load shedding happens here, and only here: `try_push` never blocks and
-/// never grows the queue past its bound; when the queue is full the caller
-/// gets `false` back immediately and turns it into a `shed` error on the
-/// wire (the 429 analogue). That keeps overload failure fast and explicit
-/// instead of queueing until memory or client patience runs out.
+/// The gate holds no items: each connection thread takes a ticket and
+/// runs its own request once the gate says so. Three counters describe
+/// everything — tickets issued, tickets started and tickets finished —
+/// and the gate keeps `started == min(issued, finished + executors)`, so
 ///
-/// `pop` blocks (executor side) until an item arrives or the queue is
-/// closed. `close` wakes every waiter and makes further pushes fail —
-/// the graceful-shutdown handshake: the server stops admitting, executors
-/// drain what was already admitted, then `pop` returns nullopt and they
-/// exit.
+///   running = started - finished   (at most `executors`)
+///   waiting = issued - started     (at most `queue_capacity`)
+///
+/// and a ticket runs once it is below `started`, i.e. in issue order.
+///
+/// Load shedding happens here, and only here: `enter` never waits when a
+/// run slot is free, and never lets the wait grow past its bound; when
+/// `queue_capacity` requests already wait, the caller gets `kShed` back
+/// immediately and turns it into a `shed` error on the wire (the 429
+/// analogue). That keeps overload failure fast and explicit instead of
+/// queueing until memory or client patience runs out.
+///
+/// `close` is the graceful-shutdown handshake: further `enter` calls get
+/// `kClosed`, while tickets already waiting still run as slots free up.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <optional>
-#include <utility>
 
 #include "util/thread_annotations.hpp"
 
 namespace hepex::svc {
 
-template <typename T>
-class BoundedQueue {
+class AdmissionGate {
  public:
-  /// `capacity` must be >= 1; the queue holds at most that many items.
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_(capacity < 1 ? 1 : capacity) {}
+  enum class Entry {
+    kRun,     ///< the caller holds a run slot; it must call leave()
+    kShed,    ///< `queue_capacity` requests already wait
+    kClosed,  ///< close() was called: the daemon is draining
+  };
 
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
+  /// `executors` and `queue_capacity` must be >= 1.
+  AdmissionGate(int executors, std::size_t queue_capacity)
+      : executors_(static_cast<std::uint64_t>(executors)),
+        capacity_(queue_capacity) {}
 
-  /// Admit one item. Returns false — without blocking — when the queue
-  /// is full (shed) or closed (shutting down); `*why_closed` (when
-  /// non-null) distinguishes the two.
-  bool try_push(T item, bool* why_closed = nullptr) HEPEX_EXCLUDES(mu_) {
+  AdmissionGate(const AdmissionGate&) = delete;
+  AdmissionGate& operator=(const AdmissionGate&) = delete;
+
+  /// Take a ticket and wait, in FIFO order, for a run slot. Returns
+  /// `kShed` or `kClosed` without waiting.
+  Entry enter() HEPEX_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (closed_) return Entry::kClosed;
+    if (started_ - finished_ < executors_) {  // a free slot: nobody waits
+      ++issued_;
+      ++started_;
+      return Entry::kRun;
+    }
+    if (issued_ - started_ >= capacity_) return Entry::kShed;
+    const std::uint64_t ticket = issued_++;
+    high_water_ = std::max(high_water_, issued_ - started_);
+    while (ticket >= started_) turn_.wait(mu_);
+    return Entry::kRun;
+  }
+
+  /// Give back the slot `enter` granted; the oldest waiting ticket (if
+  /// any) takes it.
+  void leave() HEPEX_EXCLUDES(mu_) {
     {
       util::MutexLock lock(mu_);
-      if (why_closed != nullptr) *why_closed = closed_;
-      if (closed_ || items_.size() >= capacity_) {
-        if (!closed_) ++shed_;
-        return false;
-      }
-      items_.push_back(std::move(item));
-      ++admitted_;
-      if (items_.size() > high_water_) high_water_ = items_.size();
+      ++finished_;
+      if (started_ == issued_) return;
+      ++started_;
     }
-    ready_.notify_one();
-    return true;
+    turn_.notify_all();
   }
 
-  /// Take the oldest item; blocks until one is available or the queue is
-  /// closed *and* empty (drain semantics: close() does not discard
-  /// already-admitted work).
-  std::optional<T> pop() HEPEX_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    while (!closed_ && items_.empty()) ready_.wait(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Refuse new items and wake all blocked poppers once the backlog
-  /// drains. Idempotent.
+  /// Refuse new tickets; tickets already waiting still run. Idempotent.
   void close() HEPEX_EXCLUDES(mu_) {
-    {
-      util::MutexLock lock(mu_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-  }
-
-  bool closed() const HEPEX_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
-    return closed_;
-  }
-
-  std::size_t size() const HEPEX_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return items_.size();
+    closed_ = true;
   }
 
   std::size_t capacity() const { return capacity_; }
 
-  /// Total items that were turned away because the queue was full.
-  std::uint64_t shed() const HEPEX_EXCLUDES(mu_) {
+  /// Requests waiting for a run slot right now.
+  std::uint64_t depth() const HEPEX_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
-    return shed_;
+    return issued_ - started_;
   }
 
-  /// Total items ever admitted.
+  /// Total requests ever admitted (run at once or after a wait).
   std::uint64_t admitted() const HEPEX_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
-    return admitted_;
+    return issued_;
   }
 
-  /// Deepest backlog observed (queue-pressure signal for stats/bench).
-  std::size_t high_water() const HEPEX_EXCLUDES(mu_) {
+  /// Deepest wait observed (queue-pressure signal for stats/bench).
+  std::uint64_t high_water() const HEPEX_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     return high_water_;
   }
 
  private:
+  const std::uint64_t executors_;
   const std::size_t capacity_;
   mutable util::Mutex mu_;
-  util::CondVar ready_;
-  std::deque<T> items_ HEPEX_GUARDED_BY(mu_);
+  util::CondVar turn_;
+  std::uint64_t issued_ HEPEX_GUARDED_BY(mu_) = 0;
+  std::uint64_t started_ HEPEX_GUARDED_BY(mu_) = 0;
+  std::uint64_t finished_ HEPEX_GUARDED_BY(mu_) = 0;
+  std::uint64_t high_water_ HEPEX_GUARDED_BY(mu_) = 0;
   bool closed_ HEPEX_GUARDED_BY(mu_) = false;
-  std::uint64_t shed_ HEPEX_GUARDED_BY(mu_) = 0;
-  std::uint64_t admitted_ HEPEX_GUARDED_BY(mu_) = 0;
-  std::size_t high_water_ HEPEX_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace hepex::svc

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -16,23 +15,6 @@
 #include "util/schemas.hpp"
 
 namespace hepex::svc {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// Watchdog scan period: bounds how late past its deadline a request can
-/// be cancelled.
-constexpr int kWatchdogPeriodMs = 50;
-
-}  // namespace
-
-struct Server::Job {
-  Request req;
-  par::CancelToken token;
-  Clock::time_point deadline;
-  std::promise<std::string> promise;
-};
 
 void ServerConfig::validate() const {
   HEPEX_REQUIRE(unix_path.empty() ? tcp_port >= 0 && tcp_port <= 65535 : true,
@@ -57,7 +39,7 @@ void ServerConfig::validate() const {
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
-      queue_(config_.queue_capacity),
+      gate_(config_.executors, config_.queue_capacity),
       advisors_(config_.advisor_cache_capacity,
                 config_.prediction_cache_capacity) {
   config_.validate();
@@ -73,11 +55,6 @@ Server::~Server() { stop(); }
 void Server::start() {
   if (started_.exchange(true)) return;
   if (config_.jobs != 0) par::set_default_jobs(config_.jobs);
-  watchdog_thread_ = std::thread([this] { watchdog_loop(); });
-  executor_threads_.reserve(static_cast<std::size_t>(config_.executors));
-  for (int i = 0; i < config_.executors; ++i) {
-    executor_threads_.emplace_back([this] { executor_loop(); });
-  }
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -89,13 +66,14 @@ void Server::stop() {
   if (stopped_.exchange(true)) return;
 
   // 1. Refuse new work: the accept wait and every idle/partial frame
-  //    read observe the flag within one poll slice.
+  //    read observe the flag within one poll slice, and the gate answers
+  //    any request read from now on with `shutting_down`.
   refuse_new_ = true;
+  gate_.close();
   if (accept_thread_.joinable()) accept_thread_.join();
 
-  // 2. Drain connections. Executors are still running, so a connection
-  //    blocked on its job's future is guaranteed an answer (the watchdog
-  //    bounds the wait via the request deadline).
+  // 2. Drain connections. Requests already running or waiting at the gate
+  //    still run to their response (bounded by the request deadline).
   for (;;) {
     std::unique_ptr<ConnSlot> slot;
     {
@@ -106,17 +84,6 @@ void Server::stop() {
     }
     if (slot->thread.joinable()) slot->thread.join();
   }
-
-  // 3. With every connection gone the queue holds no live work; close it
-  //    so executors fall out of pop(), then join them.
-  queue_.close();
-  for (auto& t : executor_threads_) {
-    if (t.joinable()) t.join();
-  }
-
-  // 4. Nothing can be in flight now; retire the watchdog.
-  watchdog_stop_.store(true);
-  if (watchdog_thread_.joinable()) watchdog_thread_.join();
 
   listener_.close();
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
@@ -204,44 +171,32 @@ void Server::connection_loop(Socket sock) {
       payload = handle(req);
       ++stats_.requests_ok;
     } else {
-      auto job = std::make_shared<Job>();
-      job->req = std::move(req);
-      int t = job->req.timeout_ms;
+      // The deadline starts when the request is read, so time spent
+      // waiting at the gate counts against it.
+      int t = req.timeout_ms;
       if (t <= 0) t = config_.default_timeout_ms;
       t = std::min(t, config_.max_timeout_ms);
-      job->deadline = Clock::now() + std::chrono::milliseconds(t);
-      std::future<std::string> result = job->promise.get_future();
-      {
-        // Registered before admission so the watchdog can never miss it.
-        util::MutexLock lock(active_mu_);
-        active_.push_back(job);
-      }
-      bool closed = false;
-      if (!queue_.try_push(job, &closed)) {
-        {
-          util::MutexLock lock(active_mu_);
-          active_.erase(std::find(active_.begin(), active_.end(), job));
-        }
-        if (closed) {
+      const par::CancelToken token(par::CancelToken::Clock::now() +
+                                   std::chrono::milliseconds(t));
+      switch (gate_.enter()) {
+        case AdmissionGate::Entry::kClosed:
           ++stats_.rejected_shutdown;
           write_frame(sock.fd(),
-                      make_error_response(job->req.id,
-                                          ErrorCode::kShuttingDown,
+                      make_error_response(req.id, ErrorCode::kShuttingDown,
                                           "daemon is draining"),
                       config_.write_timeout_ms);
           return;
-        }
-        ++stats_.shed;
-        payload = make_error_response(
-            job->req.id, ErrorCode::kShed,
-            "request queue full (" +
-                std::to_string(queue_.capacity()) +
-                " in flight); retry with backoff");
-      } else {
-        // Blocking is safe: every admitted job's promise is fulfilled
-        // (executors drain even during shutdown) and the watchdog bounds
-        // execution by the deadline set above.
-        payload = result.get();
+        case AdmissionGate::Entry::kShed:
+          ++stats_.shed;
+          payload = make_error_response(
+              req.id, ErrorCode::kShed,
+              "request queue full (" + std::to_string(gate_.capacity()) +
+                  " in flight); retry with backoff");
+          break;
+        case AdmissionGate::Entry::kRun:
+          payload = run_admitted(req, token);
+          gate_.leave();
+          break;
       }
     }
     if (write_frame(sock.fd(), payload, config_.write_timeout_ms) !=
@@ -251,55 +206,30 @@ void Server::connection_loop(Socket sock) {
   }
 }
 
-void Server::executor_loop() {
-  while (auto item = queue_.pop()) {
-    const std::shared_ptr<Job>& job = *item;
-    std::string payload;
-    if (job->token.cancelled()) {
-      ++stats_.timeouts;
-      payload = make_error_response(
-          job->req.id, ErrorCode::kTimeout,
-          "deadline expired while queued");
-    } else {
-      par::CancelScope scope(&job->token);
-      try {
-        payload = dispatch_job(job->req);
-        ++stats_.requests_ok;
-      } catch (const par::Cancelled&) {
-        ++stats_.timeouts;
-        payload = make_error_response(
-            job->req.id, ErrorCode::kTimeout,
-            "deadline expired during execution (work abandoned at a "
-            "cooperative checkpoint)");
-      } catch (const std::invalid_argument& e) {
-        ++stats_.bad_requests;
-        payload =
-            make_error_response(job->req.id, ErrorCode::kBadRequest, e.what());
-      } catch (const std::exception& e) {
-        ++stats_.internal_errors;
-        payload =
-            make_error_response(job->req.id, ErrorCode::kInternal, e.what());
-      }
-    }
-    job->promise.set_value(std::move(payload));
-    {
-      util::MutexLock lock(active_mu_);
-      const auto it = std::find(active_.begin(), active_.end(), job);
-      if (it != active_.end()) active_.erase(it);
-    }
+std::string Server::run_admitted(const Request& req,
+                                 const par::CancelToken& token) {
+  if (token.cancelled()) {
+    ++stats_.timeouts;
+    return make_error_response(req.id, ErrorCode::kTimeout,
+                               "deadline expired while queued");
   }
-}
-
-void Server::watchdog_loop() {
-  while (!watchdog_stop_.load()) {
-    const auto now = Clock::now();
-    {
-      util::MutexLock lock(active_mu_);
-      for (const auto& job : active_) {
-        if (now >= job->deadline) job->token.cancel();
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(kWatchdogPeriodMs));
+  par::CancelScope scope(&token);
+  try {
+    std::string payload = dispatch_job(req);
+    ++stats_.requests_ok;
+    return payload;
+  } catch (const par::Cancelled&) {
+    ++stats_.timeouts;
+    return make_error_response(
+        req.id, ErrorCode::kTimeout,
+        "deadline expired during execution (work abandoned at a "
+        "cooperative checkpoint)");
+  } catch (const std::invalid_argument& e) {
+    ++stats_.bad_requests;
+    return make_error_response(req.id, ErrorCode::kBadRequest, e.what());
+  } catch (const std::exception& e) {
+    ++stats_.internal_errors;
+    return make_error_response(req.id, ErrorCode::kInternal, e.what());
   }
 }
 
@@ -361,10 +291,10 @@ util::json::Value Server::stats_json() const {
                static_cast<double>(stats_.internal_errors.load()));
 
   util::json::Value queue = util::json::Value::object();
-  queue.set("capacity", static_cast<double>(queue_.capacity()));
-  queue.set("depth", static_cast<double>(queue_.size()));
-  queue.set("admitted", static_cast<double>(queue_.admitted()));
-  queue.set("high_water", static_cast<double>(queue_.high_water()));
+  queue.set("capacity", static_cast<double>(gate_.capacity()));
+  queue.set("depth", static_cast<double>(gate_.depth()));
+  queue.set("admitted", static_cast<double>(gate_.admitted()));
+  queue.set("high_water", static_cast<double>(gate_.high_water()));
 
   util::json::Value out = util::json::Value::object();
   out.set("schema", util::schemas::kSvcStats);

@@ -4,28 +4,28 @@
 ///
 /// Thread architecture — every thread has one job and one way to stop:
 ///
-///   accept thread ──> connection threads (one per client; all socket
-///        │            I/O happens here: read frame, wait on the job's
-///        │            future, write response)
-///        │                  │ admission: BoundedQueue::try_push
-///        │                  v
-///        │            executor threads (pop job, run method under a
-///        │            CancelScope, fulfill the promise)
-///        └─ watchdog thread (cancels jobs whose deadline passed)
+///   accept thread ──> connection threads (one per client; each runs its
+///                     own requests from start to end: read frame, pass
+///                     the AdmissionGate, run the method under a
+///                     CancelScope, write the response)
+///                           │
+///                           v
+///                     par pool (parallel regions inside one request)
 ///
 /// Robustness invariants, enforced by construction:
-///  - every *admitted* job's promise is always fulfilled (executors drain
-///    the queue even during shutdown), so a connection thread's wait can
-///    never hang;
+///  - at most `executors` requests run at once; the others wait in FIFO
+///    order at the gate, which sheds a request instead of letting more
+///    than `queue_capacity` wait;
 ///  - every request carries a deadline (client value capped by the
-///    server, default when absent); the watchdog cancels the token, the
-///    work unwinds at the next cooperative checkpoint (par chunk
-///    boundary / simulator iteration), the client gets a `timeout` error;
-///  - overload never queues unboundedly: a full queue sheds immediately
+///    server, default when absent) inside its CancelToken; the work
+///    unwinds at the first cooperative checkpoint past it (par chunk
+///    boundary / simulator iteration) and the client gets a `timeout`
+///    error — no thread watches the clock;
+///  - overload never queues unboundedly: a full wait sheds immediately
 ///    (`shed`, retryable), an oversized frame dies on its header alone;
-///  - `stop()` (SIGTERM) stops accepting, lets in-flight requests finish
-///    (bounded by the request deadline), then joins everything — never
-///    abandons a thread.
+///  - `stop()` (SIGTERM) stops accepting, lets in-flight and waiting
+///    requests finish (bounded by the request deadline), then joins
+///    everything — never abandons a thread.
 ///
 /// The server is transport-symmetric: a Unix-domain socket (production)
 /// or TCP on 127.0.0.1 (tests without a writable filesystem).
@@ -34,11 +34,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "par/cancel.hpp"
 #include "svc/admission.hpp"
 #include "svc/advisor_cache.hpp"
 #include "svc/framing.hpp"
@@ -53,8 +53,8 @@ struct ServerConfig {
   std::string unix_path;
   int tcp_port = 0;  ///< 0 = ephemeral (read back via Server::port())
 
-  int executors = 2;             ///< worker threads running requests
-  std::size_t queue_capacity = 16;  ///< admission bound (then: shed)
+  int executors = 2;             ///< requests allowed to run at once
+  std::size_t queue_capacity = 16;  ///< requests allowed to wait (then: shed)
   std::size_t max_request_bytes = 1u << 20;  ///< frame cap (1 MiB)
 
   int default_timeout_ms = 30'000;  ///< when the request omits timeout_ms
@@ -98,7 +98,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Start the accept/executor/watchdog threads. Idempotent.
+  /// Start the accept thread. Idempotent.
   void start();
 
   /// Graceful shutdown: refuse new connections and new requests, let
@@ -117,15 +117,14 @@ class Server {
   util::json::Value stats_json() const;
 
  private:
-  struct Job;
-
   void accept_loop() HEPEX_EXCLUDES(conn_mu_);
-  void connection_loop(Socket sock) HEPEX_EXCLUDES(active_mu_);
-  void executor_loop() HEPEX_EXCLUDES(active_mu_);
-  void watchdog_loop() HEPEX_EXCLUDES(active_mu_);
+  void connection_loop(Socket sock);
   /// Answer `ping` or `stats` inline; returns the response payload.
   std::string handle(const Request& req);
-  /// Run a scenario method (`method_runs_scenario`) on an executor.
+  /// Run an admitted scenario method under its deadline; every outcome,
+  /// failures included, becomes a response payload.
+  std::string run_admitted(const Request& req, const par::CancelToken& token);
+  /// Run a scenario method (`method_runs_scenario`).
   std::string dispatch_job(const Request& req);
 
   ServerConfig config_;
@@ -137,9 +136,8 @@ class Server {
   /// Raised at stop(): aborts idle/partial frame reads and the accept
   /// wait. Response *writes* are not aborted — drain means answering.
   std::atomic<bool> refuse_new_{false};
-  std::atomic<bool> watchdog_stop_{false};
 
-  BoundedQueue<std::shared_ptr<Job>> queue_;
+  AdmissionGate gate_;
   AdvisorCache advisors_;
   ServerStats stats_;
 
@@ -153,13 +151,7 @@ class Server {
   std::vector<std::unique_ptr<ConnSlot>> connections_
       HEPEX_GUARDED_BY(conn_mu_);
 
-  util::Mutex active_mu_;
-  /// The watchdog's scan list.
-  std::vector<std::shared_ptr<Job>> active_ HEPEX_GUARDED_BY(active_mu_);
-
   std::thread accept_thread_;
-  std::vector<std::thread> executor_threads_;
-  std::thread watchdog_thread_;
 };
 
 }  // namespace hepex::svc

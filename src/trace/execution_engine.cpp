@@ -515,9 +515,10 @@ struct Run {
   // ---- per-iteration setup ------------------------------------------------
 
   void begin_iteration() {
-    // Cooperative deadline checkpoint (par/cancel.hpp): a cancelled run
-    // abandons at the next iteration boundary — one relaxed atomic load
-    // per iteration, invisible to results when no token is installed.
+    // Cooperative deadline checkpoint (par/cancel.hpp): a cancelled or
+    // expired run abandons at the next iteration boundary — one relaxed
+    // atomic load per iteration (and a clock read under a deadline),
+    // invisible to results when no token is installed.
     par::check_cancel();
     if (inj != nullptr) apply_thermal_caps();
     const auto& comp = program.compute;

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Pins the CLI's command table from the outside: the usage text lists
 # each command with its flags, every listed flag is accepted, an unknown
-# flag or command exits 2 with an error line, and `faults` advice mode
-# refuses the flags only a configured run reads. Usage:
+# flag or command exits 2 with an error line, `faults` advice mode
+# refuses the flags only a configured run reads, and `faults` refuses an
+# MTBF that is not positive. Usage:
 #
 #   command_table.sh <hepex-binary>
 set -eu
@@ -104,7 +105,22 @@ for pair in "report f.json" "replicas 4" "crash-node 1" "crash-at 5" \
 done
 [ ! -e "$tmp/f.json" ] || fail "faults advice wrote a report"
 
-# 5. trace gen reads no machine, so it accepts no --machine.
+# 5. A given --mtbf must be > 0, in advice and in simulate mode; the
+#    refusal names the flag and comes before any output.
+for mode in "" "--class S --n 2 --c 2 --f 1.8GHz"; do
+  for mtbf in "--mtbf 0" "--mtbf=-5"; do
+    rc=0
+    # shellcheck disable=SC2086
+    "$hepex" faults --machine xeon --program SP $mode $mtbf \
+      > "$tmp/out.txt" 2> "$tmp/err.txt" || rc=$?
+    [ "$rc" -eq 2 ] || fail "faults $mode $mtbf exited $rc, not 2"
+    [ "$(cat "$tmp/err.txt")" = "error: hepex: --mtbf must be > 0" ] ||
+      fail "faults $mode $mtbf said '$(cat "$tmp/err.txt")'"
+    [ ! -s "$tmp/out.txt" ] || fail "faults $mode $mtbf printed to stdout"
+  done
+done
+
+# 6. trace gen reads no machine, so it accepts no --machine.
 rc=0
 "$hepex" trace gen --machine xeon > /dev/null 2> "$tmp/err.txt" || rc=$?
 [ "$rc" -eq 2 ] && grep -q "unknown flag --machine" "$tmp/err.txt" ||

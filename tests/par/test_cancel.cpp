@@ -1,8 +1,8 @@
-// hepex::par cooperative cancellation — the contract hepexd's deadline
-// watchdog leans on: a cancelled token makes a parallel region (or a
-// serial check_cancel loop) throw par::Cancelled at the next checkpoint,
-// an uncancelled region is byte-for-byte the historical loop, and the
-// first real exception wins over everything else in flight.
+// hepex::par cooperative cancellation — the contract hepexd's request
+// deadlines lean on: a cancelled or expired token makes a parallel region
+// (or a serial check_cancel loop) throw par::Cancelled at the next
+// checkpoint, an uncancelled region is byte-for-byte the historical loop,
+// and the first real exception wins over everything else in flight.
 
 #include "par/cancel.hpp"
 
@@ -26,6 +26,64 @@ TEST(CancelToken, LatchesOneWay) {
   EXPECT_TRUE(tok.cancelled());
   tok.cancel();  // idempotent
   EXPECT_TRUE(tok.cancelled());
+}
+
+TEST(CancelToken, PastDeadlineCancelsWithoutCancelCall) {
+  // Nobody calls cancel(): the deadline alone trips every checkpoint.
+  const par::CancelToken tok(par::CancelToken::Clock::now() -
+                             std::chrono::milliseconds(1));
+  EXPECT_TRUE(tok.cancelled());
+  par::CancelScope scope(&tok);
+  EXPECT_THROW(par::check_cancel(), par::Cancelled);
+  for (int jobs : {1, 4}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(
+        par::parallel_for(100, [&](std::size_t) { ran.fetch_add(1); }, jobs),
+        par::Cancelled);
+    EXPECT_EQ(ran.load(), 0) << "jobs=" << jobs;
+  }
+}
+
+TEST(CancelToken, FarDeadlineLeavesResultsBitIdentical) {
+  std::vector<double> with(1000), without(1000);
+  const auto fill = [](std::vector<double>& out) {
+    par::parallel_for(
+        out.size(),
+        [&](std::size_t i) {
+          par::check_cancel();
+          out[i] = 1.0 / static_cast<double>(i + 1);
+        },
+        4);
+  };
+  fill(without);
+  {
+    const par::CancelToken tok(par::CancelToken::Clock::now() +
+                               std::chrono::hours(1));
+    par::CancelScope scope(&tok);
+    fill(with);
+    EXPECT_FALSE(tok.cancelled());
+  }
+  EXPECT_EQ(with, without);
+}
+
+TEST(ParallelForCancel, DeadlinePassingMidFlightAbandonsTheTail) {
+  // No thread watches the clock: the region's own checkpoints notice the
+  // deadline and stop claiming elements.
+  const par::CancelToken tok(par::CancelToken::Clock::now() +
+                             std::chrono::milliseconds(50));
+  par::CancelScope scope(&tok);
+  const std::size_t n = 1024;
+  std::atomic<int> ran{0};
+  EXPECT_THROW(par::parallel_for(
+                   n,
+                   [&](std::size_t) {
+                     ran.fetch_add(1);
+                     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                   },
+                   4),
+               par::Cancelled);
+  EXPECT_GT(ran.load(), 0);
+  EXPECT_LT(ran.load(), static_cast<int>(n));
 }
 
 TEST(CheckCancel, IsANoopOutsideAnyScope) {

@@ -1,6 +1,7 @@
-// BoundedQueue — hepexd's admission valve. Full means shed (count it,
-// never block a connection thread); close means drain (admitted work is
-// still popped, nothing is silently dropped).
+// AdmissionGate — hepexd's admission valve. At most `executors` requests
+// run; the rest wait in FIFO order. A full wait means shed (never block a
+// connection thread behind it); close means drain (waiting requests still
+// run, nothing is silently dropped).
 
 #include "svc/admission.hpp"
 
@@ -8,119 +9,196 @@
 
 #include <atomic>
 #include <chrono>
-#include <optional>
+#include <cstdint>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace hepex::svc {
 namespace {
 
-TEST(BoundedQueue, PushPopFifo) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-  EXPECT_EQ(q.admitted(), 3u);
-  EXPECT_EQ(q.shed(), 0u);
+using Entry = AdmissionGate::Entry;
+
+/// Spin until `depth` requests wait at the gate (bounded: fails the test
+/// instead of hanging).
+void await_depth(const AdmissionGate& gate, std::uint64_t depth) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  while (gate.depth() != depth) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "gate depth stuck at " << gate.depth() << ", want " << depth;
+    std::this_thread::yield();
+  }
 }
 
-TEST(BoundedQueue, FullQueueShedsAndCounts) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  bool closed = true;
-  EXPECT_FALSE(q.try_push(3, &closed));
-  EXPECT_FALSE(closed);  // rejected for capacity, not shutdown
-  EXPECT_EQ(q.shed(), 1u);
-  EXPECT_EQ(q.admitted(), 2u);
-  // Draining one slot readmits.
-  (void)q.pop();
-  EXPECT_TRUE(q.try_push(3));
+/// One thread that enters the gate, records the outcome and leaves.
+std::thread waiter(AdmissionGate& gate, std::atomic<int>& ran) {
+  return std::thread([&gate, &ran] {
+    if (gate.enter() == Entry::kRun) {
+      ran.fetch_add(1);
+      gate.leave();
+    }
+  });
 }
 
-TEST(BoundedQueue, CapacityFloorIsOne) {
-  BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_FALSE(q.try_push(2));
-}
-
-TEST(BoundedQueue, HighWaterTracksPeakDepth) {
-  BoundedQueue<int> q(8);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_TRUE(q.try_push(3));
-  (void)q.pop();
-  (void)q.pop();
-  EXPECT_TRUE(q.try_push(4));
-  EXPECT_EQ(q.high_water(), 3u);
-}
-
-TEST(BoundedQueue, CloseRefusesNewButDrainsAdmitted) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  bool closed = false;
-  EXPECT_FALSE(q.try_push(3, &closed));
-  EXPECT_TRUE(closed);  // rejected for shutdown, not counted as shed
-  EXPECT_EQ(q.shed(), 0u);
-  // Admitted work survives the close — drain semantics.
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.pop().has_value());  // empty + closed = done
-  q.close();                          // idempotent
-}
-
-TEST(BoundedQueue, PopBlocksUntilPushOrClose) {
-  BoundedQueue<int> q(2);
-  std::optional<int> got;
-  std::thread consumer([&] { got = q.pop(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(q.try_push(7));
-  consumer.join();
-  EXPECT_EQ(got.value(), 7);
-
-  std::optional<int> after_close = std::optional<int>(1);
-  std::thread waiter([&] { after_close = q.pop(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  waiter.join();
-  EXPECT_FALSE(after_close.has_value());
-}
-
-TEST(BoundedQueue, ConcurrentProducersConsumersConserveItems) {
-  BoundedQueue<int> q(16);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-  std::atomic<int> consumed{0};
-  std::atomic<int> pushed{0};
+TEST(AdmissionGate, RequestsStartInFifoOrder) {
+  AdmissionGate gate(/*executors=*/1, /*queue_capacity=*/8);
+  ASSERT_EQ(gate.enter(), Entry::kRun);  // hold the only slot
+  constexpr int kWaiters = 5;
+  std::mutex order_mu;
+  std::vector<int> order;
   std::vector<std::thread> threads;
-  for (int c = 0; c < 3; ++c) {
-    threads.emplace_back([&] {
-      while (q.pop().has_value()) consumed.fetch_add(1);
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        if (q.try_push(i)) pushed.fetch_add(1);
+  for (int i = 0; i < kWaiters; ++i) {
+    threads.emplace_back([&, i] {
+      ASSERT_EQ(gate.enter(), Entry::kRun);
+      {
+        std::lock_guard<std::mutex> lock(order_mu);
+        order.push_back(i);
       }
+      gate.leave();
     });
+    // Ticket i is taken before ticket i + 1 is asked for.
+    await_depth(gate, static_cast<std::uint64_t>(i + 1));
   }
-  for (int p = 0; p < kProducers; ++p) threads[3 + p].join();
-  q.close();
-  for (int c = 0; c < 3; ++c) threads[c].join();
-  // Everything admitted is consumed (drain), everything else was shed.
-  EXPECT_EQ(consumed.load(), pushed.load());
-  EXPECT_EQ(q.admitted(), static_cast<std::size_t>(pushed.load()));
-  EXPECT_EQ(q.shed() + q.admitted(),
-            static_cast<std::size_t>(kProducers * kPerProducer));
+  gate.leave();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(gate.depth(), 0u);
+  EXPECT_EQ(gate.admitted(), static_cast<std::uint64_t>(kWaiters + 1));
+}
+
+TEST(AdmissionGate, AtMostExecutorsRunAndNothingIsLost) {
+  constexpr int kExecutors = 3;
+  constexpr int kProducers = 8;
+  constexpr int kPerProducer = 300;
+  constexpr int kTotal = kProducers * kPerProducer;
+  // capacity 8: every producer has at most one request outstanding, so
+  // nothing may shed. capacity 1: some shed, and every request still ends
+  // either run or shed.
+  for (const std::size_t capacity : {std::size_t{8}, std::size_t{1}}) {
+    AdmissionGate gate(kExecutors, capacity);
+    std::atomic<int> running{0}, peak{0}, ran{0}, shed{0};
+    std::vector<std::thread> threads;
+    for (int p = 0; p < kProducers; ++p) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kPerProducer; ++i) {
+          const Entry e = gate.enter();
+          ASSERT_NE(e, Entry::kClosed);
+          if (e == Entry::kShed) {
+            shed.fetch_add(1);
+            continue;
+          }
+          const int now = running.fetch_add(1) + 1;
+          int seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::yield();
+          running.fetch_sub(1);
+          ran.fetch_add(1);
+          gate.leave();
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_LE(peak.load(), kExecutors) << "capacity " << capacity;
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_EQ(ran.load() + shed.load(), kTotal) << "capacity " << capacity;
+    EXPECT_EQ(gate.admitted(), static_cast<std::uint64_t>(ran.load()));
+    EXPECT_EQ(gate.depth(), 0u);
+    if (capacity == 8) {
+      EXPECT_EQ(shed.load(), 0);
+    }
+  }
+}
+
+TEST(AdmissionGate, ShedsOnlyWhenTheWaitIsFull) {
+  AdmissionGate gate(/*executors=*/2, /*queue_capacity=*/1);
+  EXPECT_EQ(gate.capacity(), 1u);
+  // Free slots: both run at once, however small the wait bound.
+  ASSERT_EQ(gate.enter(), Entry::kRun);
+  ASSERT_EQ(gate.enter(), Entry::kRun);
+  EXPECT_EQ(gate.depth(), 0u);
+
+  std::atomic<int> ran{0};
+  std::thread first = waiter(gate, ran);
+  await_depth(gate, 1);
+  // One request waits and the bound is one: the next one sheds, at once
+  // and without taking a ticket.
+  EXPECT_EQ(gate.enter(), Entry::kShed);
+  EXPECT_EQ(gate.depth(), 1u);
+  EXPECT_EQ(gate.admitted(), 3u);
+
+  // A slot frees up: the waiter owns it from that moment, so the wait is
+  // empty again and the next request waits instead of shedding.
+  gate.leave();
+  EXPECT_EQ(gate.depth(), 0u);
+  first.join();
+  EXPECT_EQ(ran.load(), 1);
+  // One slot is still held and the other is free again: run at once.
+  ASSERT_EQ(gate.enter(), Entry::kRun);
+  std::thread second = waiter(gate, ran);
+  await_depth(gate, 1);
+  gate.leave();
+  second.join();
+  gate.leave();
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(gate.depth(), 0u);
+}
+
+TEST(AdmissionGate, CloseRefusesNewButLetsWaitingRun) {
+  AdmissionGate gate(/*executors=*/1, /*queue_capacity=*/4);
+  ASSERT_EQ(gate.enter(), Entry::kRun);
+  std::atomic<int> ran{0};
+  std::thread a = waiter(gate, ran);
+  await_depth(gate, 1);
+  std::thread b = waiter(gate, ran);
+  await_depth(gate, 2);
+
+  gate.close();
+  // Refused for shutdown, not shed, and not admitted.
+  EXPECT_EQ(gate.enter(), Entry::kClosed);
+  EXPECT_EQ(gate.depth(), 2u);
+  EXPECT_EQ(gate.admitted(), 3u);
+
+  // Waiting work survives the close: drain semantics.
+  gate.leave();
+  a.join();
+  b.join();
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(gate.depth(), 0u);
+  gate.close();  // idempotent
+  EXPECT_EQ(gate.enter(), Entry::kClosed);
+}
+
+TEST(AdmissionGate, HighWaterIsTheDeepestWait) {
+  AdmissionGate gate(/*executors=*/2, /*queue_capacity=*/8);
+  // Requests that find a free slot never count as waiting.
+  ASSERT_EQ(gate.enter(), Entry::kRun);
+  ASSERT_EQ(gate.enter(), Entry::kRun);
+  EXPECT_EQ(gate.high_water(), 0u);
+
+  std::atomic<int> ran{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    threads.push_back(waiter(gate, ran));
+    await_depth(gate, i);
+  }
+  EXPECT_EQ(gate.high_water(), 3u);
+  gate.leave();
+  gate.leave();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ran.load(), 3);
+
+  // A shallower wait later leaves the mark where it was.
+  ASSERT_EQ(gate.enter(), Entry::kRun);
+  ASSERT_EQ(gate.enter(), Entry::kRun);
+  std::thread late = waiter(gate, ran);
+  await_depth(gate, 1);
+  gate.leave();
+  late.join();
+  gate.leave();
+  EXPECT_EQ(gate.high_water(), 3u);
+  EXPECT_EQ(gate.depth(), 0u);
 }
 
 }  // namespace

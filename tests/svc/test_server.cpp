@@ -2,7 +2,7 @@
 // contract is that every request ends in exactly one structured outcome
 // — result, bad_request, protocol error, shed, timeout or shutting_down
 // — and graceful stop drains in-flight work. These tests run the whole
-// stack (framing, admission, executors, watchdog, advisor cache)
+// stack (framing, the admission gate, request deadlines, advisor cache)
 // in-process on an ephemeral TCP port or a Unix socket.
 
 #include "svc/server.hpp"
@@ -48,8 +48,8 @@ util::json::Value fast_scenario() {
 }
 
 /// Slow scenario (hundreds of ms): `validate` simulates a physical-node
-/// sweep at class A — long enough for the watchdog to demonstrably
-/// cancel it, with cooperative checkpoints throughout. The sweep stays
+/// sweep at class A — long enough for a deadline to demonstrably cancel
+/// it, with cooperative checkpoints throughout. The sweep stays
 /// within nodes_available because validation runs "physical" baselines.
 util::json::Value slow_scenario() {
   return util::json::parse(R"({
@@ -336,11 +336,47 @@ TEST(Server, DeadlineCancelsALongRequest) {
   EXPECT_FALSE(res.ok);
   EXPECT_EQ(res.code, ErrorCode::kTimeout);
   EXPECT_TRUE(res.retry);
-  // Cancelled at the next watchdog tick + cooperative checkpoint — far
-  // below the uncancelled request's several hundred ms.
+  // Cancelled at the first cooperative checkpoint past the deadline —
+  // far below the uncancelled request's several hundred ms.
   EXPECT_LT(elapsed, 30'000) << "cancellation did not interrupt the run";
   server.stop();
   EXPECT_EQ(server.stats().timeouts.load(), 1u);
+}
+
+TEST(Server, DeadlineExpiredWhileQueuedIsATimeout) {
+  ServerConfig cfg = tcp_config();
+  cfg.executors = 1;
+  cfg.queue_capacity = 1;
+  Server server(std::move(cfg));
+  server.start();
+  const auto queue_figure = [&server](const char* key) {
+    return server.stats_json().find("queue")->find(key)->as_number();
+  };
+
+  Response slow;
+  std::thread first([&] {
+    Client c = Client::connect_tcp_socket(server.port());
+    slow = c.call(make("slow", "validate", slow_scenario()), 120'000);
+  });
+  // The slow request holds the only run slot once it is admitted.
+  while (queue_figure("admitted") < 1.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Client client = Client::connect_tcp_socket(server.port());
+  const Response late =
+      client.call(make("late", "validate", slow_scenario(), /*timeout_ms=*/1),
+                  120'000);
+  first.join();
+
+  ASSERT_TRUE(slow.ok) << slow.message;
+  EXPECT_FALSE(late.ok);
+  EXPECT_EQ(late.code, ErrorCode::kTimeout);
+  EXPECT_EQ(late.message, "deadline expired while queued");
+  EXPECT_TRUE(late.retry);
+  EXPECT_EQ(queue_figure("high_water"), 1.0);
+  server.stop();
+  EXPECT_EQ(server.stats().timeouts.load(), 1u);
+  EXPECT_EQ(server.stats().requests_ok.load(), 1u);
 }
 
 TEST(Server, OverloadShedsInsteadOfQueueing) {
@@ -371,8 +407,8 @@ TEST(Server, OverloadShedsInsteadOfQueueing) {
   }
   for (auto& t : threads) t.join();
   // Exactly one terminal outcome per request; under 6 concurrent
-  // long requests with one executor and a one-slot queue, at least one
-  // must complete and at least one must shed.
+  // long requests with one run slot and room for one waiter, at least
+  // one must complete and at least one must shed.
   EXPECT_EQ(ok.load() + shed.load() + other.load(), kClients);
   EXPECT_GE(ok.load(), 1);
   EXPECT_GE(shed.load(), 1);
@@ -392,7 +428,7 @@ TEST(Server, GracefulStopDrainsInFlightWork) {
     res = c.call(make("drain", "validate", slow_scenario()), 120'000);
     answered.store(true);
   });
-  // Let the request reach an executor, then stop underneath it.
+  // Let the request start running, then stop underneath it.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   server.stop();
   // stop() returns only after the drain: the response must already be
@@ -401,6 +437,16 @@ TEST(Server, GracefulStopDrainsInFlightWork) {
   ASSERT_TRUE(answered.load());
   EXPECT_TRUE(res.ok) << res.message;
   EXPECT_EQ(server.stats().requests_ok.load(), 1u);
+}
+
+TEST(Server, ConfigRejectsAGateWithoutRunOrWaitSlots) {
+  ServerConfig no_waiters = tcp_config();
+  no_waiters.queue_capacity = 0;
+  EXPECT_THROW(no_waiters.validate(), std::invalid_argument);
+  ServerConfig no_runners = tcp_config();
+  no_runners.executors = 0;
+  EXPECT_THROW(no_runners.validate(), std::invalid_argument);
+  EXPECT_THROW(Server{no_runners}, std::invalid_argument);
 }
 
 TEST(Server, StopIsIdempotentAndStatsStayReadable) {

@@ -725,6 +725,11 @@ int cmd_predict(const util::CliArgs& args) {
 /// with fault flags layered on top — and report the measured
 /// T_fault / E_fault.
 int cmd_faults(const util::CliArgs& args) {
+  // Both modes read a non-positive MTBF as "no random failures", which
+  // would leave a given --mtbf silently unused.
+  if (args.has("mtbf") && !(duration_or(args, "mtbf", 0.0).value() > 0.0)) {
+    fail_require("--mtbf must be > 0");
+  }
   cfg::Scenario s = scenario_from(args);
 
   if (s.config.has_value()) {
