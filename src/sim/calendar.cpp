@@ -21,20 +21,30 @@ void ActionPool::add_chunk() {
 // EventCalendar
 
 void EventCalendar::link(const Key& k) {
-  heap_.push_back(k);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!earlier(k, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+  if (run_.empty() || earlier(run_.back(), k)) {
+    run_.push_back() = k;  // later than every key in the run
+  } else {
+    ++heap_pushes_;
+    heap_.push_back(k);
+    std::size_t i = heap_.size() - 1;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!earlier(k, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = k;
   }
-  heap_[i] = k;
-  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
+  if (size() > peak_pending_) peak_pending_ = size();
 }
 
 EventCalendar::Fired EventCalendar::pop() {
   HEPEX_ASSERT(!empty(), "pop from empty calendar");
+  if (run_first()) {
+    const Key front = run_.front();
+    run_.pop_front();
+    return Fired{front.time, front.action};
+  }
   const Key top = heap_.front();
   const Key last = heap_.back();
   heap_.pop_back();
@@ -65,6 +75,7 @@ CalendarStats EventCalendar::stats() const {
   s.slot_chunks = pool_.chunks();
   s.slot_high_water = pool_.high_water();
   s.peak_pending = peak_pending_;
+  s.heap_pushes = heap_pushes_;
   return s;
 }
 

@@ -4,15 +4,6 @@
 
 namespace hepex::sim {
 
-void Resource::grow() {
-  std::vector<Job> bigger(ring_.empty() ? 2 : ring_.size() * 2);
-  for (std::uint32_t i = 0; i < count_; ++i) {
-    bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
-  }
-  ring_ = std::move(bigger);
-  head_ = 0;
-}
-
 void Resource::start(SimTime service, SimTime arrival, std::uint32_t depth,
                      SimTime waited) {
   busy_ = true;
@@ -42,10 +33,9 @@ void Resource::complete() {
   obs.depth_at_arrival = depth_;
   busy_ = false;
   ++completed_;
-  if (count_ != 0) {
-    Job& next = ring_[head_];
-    head_ = (head_ + 1) & static_cast<std::uint32_t>(ring_.size() - 1);
-    --count_;
+  if (!ring_.empty()) {
+    Job& next = ring_.front();  // valid until the next push_back
+    ring_.pop_front();
     cb_ = std::move(next.cb);
     start(next.service, next.arrival, next.depth, sim_.now() - next.arrival);
   }

@@ -14,8 +14,8 @@
 /// simulated memory access or message passes through one, so a station
 /// touches few bytes per job. The job in service lives inline in the
 /// station and its completion event captures only `this`; waiting jobs
-/// are 64-byte records in a grow-only power-of-two ring (2 entries at
-/// first); `request` constructs the caller's continuation in place
+/// are 64-byte records in a `sim::Ring` (grow-only, power-of-two, 2
+/// entries at first); `request` constructs the caller's continuation in place
 /// (`SmallFn::emplace`). In steady state a request/complete cycle
 /// performs no heap allocation.
 
@@ -23,9 +23,9 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "sim/event_fn.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 
@@ -76,26 +76,25 @@ class Resource {
   void request(SimTime service_time, F&& on_complete) {
     HEPEX_REQUIRE(service_time >= SimTime{},
                   "service time must be non-negative");
-    const auto depth = static_cast<std::uint32_t>(count_ + (busy_ ? 1 : 0));
+    const auto depth =
+        static_cast<std::uint32_t>(ring_.size() + (busy_ ? 1 : 0));
     if (!busy_) {
       cb_.emplace(std::forward<F>(on_complete));
       start(service_time, sim_.now(), depth, SimTime{});
       return;
     }
-    if (count_ == ring_.size()) grow();
-    Job& job = ring_[(head_ + count_) & (ring_.size() - 1)];
+    Job& job = ring_.push_back();
     job.service = service_time;
     job.arrival = sim_.now();
     job.depth = depth;
     job.cb.emplace(std::forward<F>(on_complete));
-    ++count_;
   }
 
   /// Attach (or clear, with an empty function) the per-job observer.
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
   /// Jobs currently waiting (not in service).
-  std::size_t queue_length() const { return count_; }
+  std::size_t queue_length() const { return ring_.size(); }
   /// Jobs currently in service (0 or 1).
   int in_service() const { return busy_ ? 1 : 0; }
   /// Total seconds of completed-or-started service.
@@ -118,7 +117,6 @@ class Resource {
   void start(SimTime service, SimTime arrival, std::uint32_t depth,
              SimTime waited);
   void complete();
-  void grow();
 
   Simulator& sim_;
   Observer observer_;
@@ -130,11 +128,7 @@ class Resource {
   SimTime waited_{};
   std::uint32_t depth_ = 0;
   bool busy_ = false;
-  // Waiting jobs: a power-of-two ring, grown by doubling and never
-  // shrunk.
-  std::uint32_t head_ = 0;
-  std::uint32_t count_ = 0;
-  std::vector<Job> ring_;
+  Ring<Job> ring_;  ///< waiting jobs
   SimTime busy_time_{};
   std::size_t completed_ = 0;
 };

@@ -176,9 +176,10 @@ void Server::connection_loop(Socket sock) {
       int t = req.timeout_ms;
       if (t <= 0) t = config_.default_timeout_ms;
       t = std::min(t, config_.max_timeout_ms);
-      const par::CancelToken token(par::CancelToken::Clock::now() +
-                                   std::chrono::milliseconds(t));
-      switch (gate_.enter()) {
+      const auto deadline =
+          par::CancelToken::Clock::now() + std::chrono::milliseconds(t);
+      const par::CancelToken token(deadline);
+      switch (gate_.enter(deadline)) {
         case AdmissionGate::Entry::kClosed:
           ++stats_.rejected_shutdown;
           write_frame(sock.fd(),
@@ -192,6 +193,9 @@ void Server::connection_loop(Socket sock) {
               req.id, ErrorCode::kShed,
               "request queue full (" + std::to_string(gate_.capacity()) +
                   " in flight); retry with backoff");
+          break;
+        case AdmissionGate::Entry::kExpired:
+          payload = expired_while_queued(req);
           break;
         case AdmissionGate::Entry::kRun:
           payload = run_admitted(req, token);
@@ -208,11 +212,7 @@ void Server::connection_loop(Socket sock) {
 
 std::string Server::run_admitted(const Request& req,
                                  const par::CancelToken& token) {
-  if (token.cancelled()) {
-    ++stats_.timeouts;
-    return make_error_response(req.id, ErrorCode::kTimeout,
-                               "deadline expired while queued");
-  }
+  if (token.cancelled()) return expired_while_queued(req);
   par::CancelScope scope(&token);
   try {
     std::string payload = dispatch_job(req);
@@ -231,6 +231,12 @@ std::string Server::run_admitted(const Request& req,
     ++stats_.internal_errors;
     return make_error_response(req.id, ErrorCode::kInternal, e.what());
   }
+}
+
+std::string Server::expired_while_queued(const Request& req) {
+  ++stats_.timeouts;
+  return make_error_response(req.id, ErrorCode::kTimeout,
+                             "deadline expired while queued");
 }
 
 std::string Server::handle(const Request& req) {

@@ -17,10 +17,11 @@
 ///    order at the gate, which sheds a request instead of letting more
 ///    than `queue_capacity` wait;
 ///  - every request carries a deadline (client value capped by the
-///    server, default when absent) inside its CancelToken; the work
-///    unwinds at the first cooperative checkpoint past it (par chunk
-///    boundary / simulator iteration) and the client gets a `timeout`
-///    error — no thread watches the clock;
+///    server, default when absent) inside its CancelToken; a request
+///    still waiting at the gate leaves the line at its deadline, and
+///    running work unwinds at the first cooperative checkpoint past it
+///    (par chunk boundary / simulator iteration); either way the client
+///    gets a `timeout` error — no thread watches the clock;
 ///  - overload never queues unboundedly: a full wait sheds immediately
 ///    (`shed`, retryable), an oversized frame dies on its header alone;
 ///  - `stop()` (SIGTERM) stops accepting, lets in-flight and waiting
@@ -124,6 +125,8 @@ class Server {
   /// Run an admitted scenario method under its deadline; every outcome,
   /// failures included, becomes a response payload.
   std::string run_admitted(const Request& req, const par::CancelToken& token);
+  /// Count and answer a request whose deadline passed before it ran.
+  std::string expired_while_queued(const Request& req);
   /// Run a scenario method (`method_runs_scenario`).
   std::string dispatch_job(const Request& req);
 

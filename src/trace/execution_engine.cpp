@@ -956,6 +956,7 @@ struct Run {
       // against events_processed gives heap allocations per event.
       const sim::CalendarStats cal = sim.calendar_stats();
       reg->counter("sim.calendar.slot_acquires").add(cal.slot_acquires);
+      reg->counter("sim.calendar.heap_pushes").add(cal.heap_pushes);
       reg->counter("sim.calendar.slot_chunks").add(cal.slot_chunks);
       reg->counter("sim.calendar.slot_high_water").add(cal.slot_high_water);
       reg->counter("sim.calendar.peak_pending").add(cal.peak_pending);

@@ -20,10 +20,10 @@
 ///    `HEPEX_EXCLUDES(mu_)` so self-deadlocks are compile errors;
 ///  - locks are `util::Mutex` acquired through `util::MutexLock` (the
 ///    scoped capability the analysis understands); condition waits go
-///    through `util::CondVar::wait(Mutex&)` with an explicit `while`
-///    loop around the wait instead of a predicate lambda, so the
-///    predicate's guarded reads stay inside the locked scope the
-///    analysis can see.
+///    through `util::CondVar::wait(Mutex&)` (or `wait_until`) with an
+///    explicit `while` loop around the wait instead of a predicate
+///    lambda, so the predicate's guarded reads stay inside the locked
+///    scope the analysis can see.
 ///
 /// Locks whose lifetime crosses a function boundary (for example the
 /// per-entry lease lock in `svc::AdvisorCache`, carried by a movable
@@ -31,6 +31,7 @@
 /// model; those stay on `std::mutex` with the ownership transfer
 /// documented at the declaration instead of annotated.
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -142,6 +143,15 @@ class CondVar {
   /// Atomically release `mu`, sleep, and re-acquire before returning.
   /// Spurious wakeups happen: always wrap in a condition loop.
   void wait(Mutex& mu) HEPEX_REQUIRES(mu) { cv_.wait(mu); }
+
+  /// `wait` that gives up at `deadline`: returns false once the deadline
+  /// has passed (the condition may still have become true; re-check it).
+  template <typename Clock, typename Duration>
+  bool wait_until(Mutex& mu,
+                  const std::chrono::time_point<Clock, Duration>& deadline)
+      HEPEX_REQUIRES(mu) {
+    return cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
+  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

@@ -1,7 +1,8 @@
 // AdmissionGate — hepexd's admission valve. At most `executors` requests
 // run; the rest wait in FIFO order. A full wait means shed (never block a
 // connection thread behind it); close means drain (waiting requests still
-// run, nothing is silently dropped).
+// run, nothing is silently dropped); a waiter whose deadline passes leaves
+// the line without ever holding a run slot.
 
 #include "svc/admission.hpp"
 
@@ -18,6 +19,10 @@ namespace hepex::svc {
 namespace {
 
 using Entry = AdmissionGate::Entry;
+using Clock = AdmissionGate::Clock;
+
+/// A deadline no test reaches.
+Clock::time_point far() { return Clock::now() + std::chrono::hours(1); }
 
 /// Spin until `depth` requests wait at the gate (bounded: fails the test
 /// instead of hanging).
@@ -34,7 +39,7 @@ void await_depth(const AdmissionGate& gate, std::uint64_t depth) {
 /// One thread that enters the gate, records the outcome and leaves.
 std::thread waiter(AdmissionGate& gate, std::atomic<int>& ran) {
   return std::thread([&gate, &ran] {
-    if (gate.enter() == Entry::kRun) {
+    if (gate.enter(far()) == Entry::kRun) {
       ran.fetch_add(1);
       gate.leave();
     }
@@ -43,14 +48,14 @@ std::thread waiter(AdmissionGate& gate, std::atomic<int>& ran) {
 
 TEST(AdmissionGate, RequestsStartInFifoOrder) {
   AdmissionGate gate(/*executors=*/1, /*queue_capacity=*/8);
-  ASSERT_EQ(gate.enter(), Entry::kRun);  // hold the only slot
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);  // hold the only slot
   constexpr int kWaiters = 5;
   std::mutex order_mu;
   std::vector<int> order;
   std::vector<std::thread> threads;
   for (int i = 0; i < kWaiters; ++i) {
     threads.emplace_back([&, i] {
-      ASSERT_EQ(gate.enter(), Entry::kRun);
+      ASSERT_EQ(gate.enter(far()), Entry::kRun);
       {
         std::lock_guard<std::mutex> lock(order_mu);
         order.push_back(i);
@@ -82,7 +87,7 @@ TEST(AdmissionGate, AtMostExecutorsRunAndNothingIsLost) {
     for (int p = 0; p < kProducers; ++p) {
       threads.emplace_back([&] {
         for (int i = 0; i < kPerProducer; ++i) {
-          const Entry e = gate.enter();
+          const Entry e = gate.enter(far());
           ASSERT_NE(e, Entry::kClosed);
           if (e == Entry::kShed) {
             shed.fetch_add(1);
@@ -115,8 +120,8 @@ TEST(AdmissionGate, ShedsOnlyWhenTheWaitIsFull) {
   AdmissionGate gate(/*executors=*/2, /*queue_capacity=*/1);
   EXPECT_EQ(gate.capacity(), 1u);
   // Free slots: both run at once, however small the wait bound.
-  ASSERT_EQ(gate.enter(), Entry::kRun);
-  ASSERT_EQ(gate.enter(), Entry::kRun);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
   EXPECT_EQ(gate.depth(), 0u);
 
   std::atomic<int> ran{0};
@@ -124,7 +129,7 @@ TEST(AdmissionGate, ShedsOnlyWhenTheWaitIsFull) {
   await_depth(gate, 1);
   // One request waits and the bound is one: the next one sheds, at once
   // and without taking a ticket.
-  EXPECT_EQ(gate.enter(), Entry::kShed);
+  EXPECT_EQ(gate.enter(far()), Entry::kShed);
   EXPECT_EQ(gate.depth(), 1u);
   EXPECT_EQ(gate.admitted(), 3u);
 
@@ -135,7 +140,7 @@ TEST(AdmissionGate, ShedsOnlyWhenTheWaitIsFull) {
   first.join();
   EXPECT_EQ(ran.load(), 1);
   // One slot is still held and the other is free again: run at once.
-  ASSERT_EQ(gate.enter(), Entry::kRun);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
   std::thread second = waiter(gate, ran);
   await_depth(gate, 1);
   gate.leave();
@@ -147,7 +152,7 @@ TEST(AdmissionGate, ShedsOnlyWhenTheWaitIsFull) {
 
 TEST(AdmissionGate, CloseRefusesNewButLetsWaitingRun) {
   AdmissionGate gate(/*executors=*/1, /*queue_capacity=*/4);
-  ASSERT_EQ(gate.enter(), Entry::kRun);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
   std::atomic<int> ran{0};
   std::thread a = waiter(gate, ran);
   await_depth(gate, 1);
@@ -156,7 +161,7 @@ TEST(AdmissionGate, CloseRefusesNewButLetsWaitingRun) {
 
   gate.close();
   // Refused for shutdown, not shed, and not admitted.
-  EXPECT_EQ(gate.enter(), Entry::kClosed);
+  EXPECT_EQ(gate.enter(far()), Entry::kClosed);
   EXPECT_EQ(gate.depth(), 2u);
   EXPECT_EQ(gate.admitted(), 3u);
 
@@ -167,14 +172,14 @@ TEST(AdmissionGate, CloseRefusesNewButLetsWaitingRun) {
   EXPECT_EQ(ran.load(), 2);
   EXPECT_EQ(gate.depth(), 0u);
   gate.close();  // idempotent
-  EXPECT_EQ(gate.enter(), Entry::kClosed);
+  EXPECT_EQ(gate.enter(far()), Entry::kClosed);
 }
 
 TEST(AdmissionGate, HighWaterIsTheDeepestWait) {
   AdmissionGate gate(/*executors=*/2, /*queue_capacity=*/8);
   // Requests that find a free slot never count as waiting.
-  ASSERT_EQ(gate.enter(), Entry::kRun);
-  ASSERT_EQ(gate.enter(), Entry::kRun);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
   EXPECT_EQ(gate.high_water(), 0u);
 
   std::atomic<int> ran{0};
@@ -190,8 +195,8 @@ TEST(AdmissionGate, HighWaterIsTheDeepestWait) {
   EXPECT_EQ(ran.load(), 3);
 
   // A shallower wait later leaves the mark where it was.
-  ASSERT_EQ(gate.enter(), Entry::kRun);
-  ASSERT_EQ(gate.enter(), Entry::kRun);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
   std::thread late = waiter(gate, ran);
   await_depth(gate, 1);
   gate.leave();
@@ -199,6 +204,102 @@ TEST(AdmissionGate, HighWaterIsTheDeepestWait) {
   gate.leave();
   EXPECT_EQ(gate.high_water(), 3u);
   EXPECT_EQ(gate.depth(), 0u);
+}
+
+TEST(AdmissionGate, ExpiredWaiterLeavesTheLineWithoutASlot) {
+  AdmissionGate gate(/*executors=*/1, /*queue_capacity=*/4);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);  // hold the only slot
+  std::mutex order_mu;
+  std::vector<char> order;
+  const auto live = [&](char name) {
+    return std::thread([&, name] {
+      ASSERT_EQ(gate.enter(far()), Entry::kRun);
+      {
+        std::lock_guard<std::mutex> lock(order_mu);
+        order.push_back(name);
+      }
+      gate.leave();
+    });
+  };
+  // A live waiter, one whose deadline has already passed (it takes a
+  // ticket, waits no time and departs), and a live one behind it. No
+  // step races a clock.
+  std::thread a = live('a');
+  await_depth(gate, 1);
+  EXPECT_EQ(gate.enter(Clock::now()), Entry::kExpired);
+  EXPECT_EQ(gate.depth(), 1u);
+  EXPECT_EQ(gate.high_water(), 2u);  // a and the departed ticket
+  EXPECT_EQ(gate.admitted(), 3u);
+  std::thread c = live('c');
+  await_depth(gate, 2);
+  EXPECT_EQ(gate.high_water(), 2u);  // the departed ticket no longer waits
+  EXPECT_EQ(gate.admitted(), 4u);
+  {
+    std::lock_guard<std::mutex> lock(order_mu);
+    EXPECT_TRUE(order.empty());
+  }
+
+  // The slot passes a, then c, in ticket order; the departed ticket
+  // never runs.
+  gate.leave();
+  a.join();
+  c.join();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'c'}));
+  EXPECT_EQ(gate.depth(), 0u);
+
+  // A real timed wait behind a held slot ends at its deadline, and no
+  // slot leaked either way: exactly one is free again.
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
+  EXPECT_EQ(gate.enter(Clock::now() + std::chrono::milliseconds(1)),
+            Entry::kExpired);
+  EXPECT_EQ(gate.depth(), 0u);
+  gate.leave();
+  EXPECT_EQ(gate.depth(), 0u);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
+  gate.leave();
+}
+
+TEST(AdmissionGate, ExpiredWaitersStayBoundedBehindAHeldSlot) {
+  constexpr std::size_t kCapacity = 4;
+  constexpr int kFlood = 10000;
+  AdmissionGate gate(/*executors=*/1, kCapacity);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);  // hold the only slot
+
+  // Nobody live waits: each expired ticket is at the front of the line
+  // and is passed over at once, so none of them sheds and the line stays
+  // empty.
+  for (int i = 0; i < kFlood; ++i) {
+    ASSERT_EQ(gate.enter(Clock::now()), Entry::kExpired) << "request " << i;
+  }
+  EXPECT_EQ(gate.depth(), 0u);
+  EXPECT_EQ(gate.high_water(), 1u);
+
+  // Behind a live waiter the departed tickets keep their places, and
+  // they count toward the bound: the line fills and the rest shed.
+  std::atomic<int> ran{0};
+  std::thread live = waiter(gate, ran);
+  await_depth(gate, 1);
+  int expired = 0;
+  int shed = 0;
+  for (int i = 0; i < kFlood; ++i) {
+    const Entry e = gate.enter(Clock::now());
+    ASSERT_TRUE(e == Entry::kExpired || e == Entry::kShed) << "request " << i;
+    (e == Entry::kExpired ? expired : shed) += 1;
+  }
+  EXPECT_EQ(expired, static_cast<int>(kCapacity) - 1);
+  EXPECT_EQ(shed, kFlood - expired);
+  EXPECT_EQ(gate.depth(), 1u);
+  EXPECT_EQ(gate.admitted(), static_cast<std::uint64_t>(1 + kFlood + 1 +
+                                                        expired));
+
+  // The held slot goes to the live waiter; the departed tickets behind
+  // it are passed over, and the line is open again.
+  gate.leave();
+  live.join();
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(gate.depth(), 0u);
+  ASSERT_EQ(gate.enter(far()), Entry::kRun);
+  gate.leave();
 }
 
 }  // namespace

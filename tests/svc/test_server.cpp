@@ -354,9 +354,11 @@ TEST(Server, DeadlineExpiredWhileQueuedIsATimeout) {
   };
 
   Response slow;
+  std::atomic<bool> slow_answered{false};
   std::thread first([&] {
     Client c = Client::connect_tcp_socket(server.port());
     slow = c.call(make("slow", "validate", slow_scenario()), 120'000);
+    slow_answered.store(true);
   });
   // The slow request holds the only run slot once it is admitted.
   while (queue_figure("admitted") < 1.0) {
@@ -366,6 +368,10 @@ TEST(Server, DeadlineExpiredWhileQueuedIsATimeout) {
   const Response late =
       client.call(make("late", "validate", slow_scenario(), /*timeout_ms=*/1),
                   120'000);
+  // The late request left the line at its deadline: it was answered
+  // while the slow validate still held the slot, and waits no longer.
+  EXPECT_FALSE(slow_answered.load());
+  EXPECT_EQ(queue_figure("depth"), 0.0);
   first.join();
 
   ASSERT_TRUE(slow.ok) << slow.message;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "hw/presets.hpp"
 #include "obs/registry.hpp"
 #include "trace/execution_engine.hpp"
@@ -53,6 +55,16 @@ TEST(ScaleoutSmoke, ThousandNodesCompletes) {
   const auto* events = reg.find_counter("sim.events_processed");
   ASSERT_NE(events, nullptr);
   EXPECT_GT(events->value(), 1000u * 2u);
+  // Layer evidence for the calendar's tail run: most pushes are later
+  // than every pending key and never enter the heap.
+  const auto* pushes = reg.find_counter("sim.calendar.slot_acquires");
+  const auto* heap = reg.find_counter("sim.calendar.heap_pushes");
+  ASSERT_NE(pushes, nullptr);
+  ASSERT_NE(heap, nullptr);
+  std::printf("calendar pushes: %llu, heap pushes: %llu\n",
+              static_cast<unsigned long long>(pushes->value()),
+              static_cast<unsigned long long>(heap->value()));
+  EXPECT_LT(2 * heap->value(), pushes->value());
 }
 
 TEST(ScaleoutSmoke, ThousandNodesDeterministic) {
