@@ -96,7 +96,7 @@ void measure(const cfg::Scenario& s, RunResult& r,
   r.wall = seconds_since(t0);
   ro.metrics = r.metrics.get();
   ro.spans = &spans;
-  r.report = trace::build_run_report(s, *r.measurement, ro);
+  r.report = trace::build_run_report(s, *r.measurement, std::move(ro));
 }
 
 /// Summary: the ensemble's outcome counts and time/energy statistics.
@@ -171,7 +171,7 @@ RunResult run(const cfg::Scenario& s, Method method, const RunInputs& in) {
   }
   r.wall = seconds_since(t0);
   ro.summary = std::move(summary);
-  r.report = trace::build_run_report(s, ro);
+  r.report = trace::build_run_report(s, std::move(ro));
   return r;
 }
 

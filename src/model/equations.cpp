@@ -66,11 +66,11 @@ q::Seconds t_wait_net_it_s(int nodes, double eta_it, q::Seconds serve_it,
   while (g(hi) > q::Seconds{}) hi *= 2.0;
   for (int k = 0; k < 100; ++k) {
     const q::Seconds mid = 0.5 * (lo + hi);
-    if (g(mid) > q::Seconds{}) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+    q::Seconds& end = g(mid) > q::Seconds{} ? lo : hi;
+    // A halving that moves neither end repeats itself on every later
+    // step, so the remaining steps would change nothing.
+    if (end == mid) break;
+    end = mid;
   }
   return std::max(q::Seconds{}, 0.5 * (lo + hi) - serve_it);
 }

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -50,7 +51,7 @@ double RunReport::attribution_energy_total() const {
   return total;
 }
 
-util::json::Value RunReport::to_json_value() const {
+util::json::Value RunReport::to_json_value() && {
   jn::Value doc = jn::Value::object();
   doc.set("schema", jn::Value(kRunReportSchema));
   doc.set("command", jn::Value(command));
@@ -70,7 +71,7 @@ util::json::Value RunReport::to_json_value() const {
   prov.set("seed", jn::Value(static_cast<double>(seed)));
   if (replicas != 1) prov.set("replicas", jn::Value(replicas));
   if (jobs != 0) prov.set("jobs", jn::Value(jobs));
-  if (scenario.is_object()) prov.set("scenario", scenario);
+  if (scenario.is_object()) prov.set("scenario", std::move(scenario));
   doc.set("provenance", std::move(prov));
 
   if (has_results) {
@@ -113,12 +114,12 @@ util::json::Value RunReport::to_json_value() const {
       }
       att.set("per_node", std::move(rows));
     }
-    if (spans.is_object()) att.set("spans", spans);
+    if (spans.is_object()) att.set("spans", std::move(spans));
     doc.set("attribution", std::move(att));
   }
 
-  if (metrics.is_object()) doc.set("metrics", metrics);
-  if (summary.is_object()) doc.set("summary", summary);
+  if (metrics.is_object()) doc.set("metrics", std::move(metrics));
+  if (summary.is_object()) doc.set("summary", std::move(summary));
 
   if (has_host) {
     jn::Value host = jn::Value::object();

@@ -115,8 +115,14 @@ struct RunReport {
   /// Sum of the attribution categories' energy entries.
   double attribution_energy_total() const;
 
-  /// Canonical JSON document (insertion-ordered, schema first).
-  util::json::Value to_json_value() const;
+  /// Canonical JSON document (insertion-ordered, schema first). The
+  /// rvalue overload moves `scenario`, `spans`, `metrics` and `summary`
+  /// into the document instead of copying them; the lvalue one copies the
+  /// report and delegates, so both write the same bytes.
+  util::json::Value to_json_value() const& {
+    return RunReport(*this).to_json_value();
+  }
+  util::json::Value to_json_value() &&;
 
   /// Schema-check and read a parsed document. Throws
   /// std::invalid_argument with `<source>: ...` on a malformed document

@@ -1,6 +1,7 @@
 #include "trace/run_report.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
@@ -14,7 +15,7 @@ namespace hepex::trace {
 namespace {
 
 void fill_common(obs::RunReport& r, const cfg::Scenario& s,
-                 const RunReportOptions& opts) {
+                 RunReportOptions& opts) {
   r.command = opts.command;
   r.name = s.name;
 
@@ -51,15 +52,14 @@ void fill_common(obs::RunReport& r, const cfg::Scenario& s,
   if (opts.spans != nullptr && !opts.spans->empty()) {
     r.spans = opts.spans->to_json_value();
   }
-  if (opts.summary.is_object()) r.summary = opts.summary;
+  if (opts.summary.is_object()) r.summary = std::move(opts.summary);
 
   stamp_host(r, opts.host_wall_s, opts.metrics, opts.host_profile);
 }
 
 }  // namespace
 
-obs::RunReport build_run_report(const cfg::Scenario& s,
-                                const RunReportOptions& opts) {
+obs::RunReport build_run_report(const cfg::Scenario& s, RunReportOptions opts) {
   obs::RunReport r;
   fill_common(r, s, opts);
   if (s.config.has_value()) {
@@ -72,7 +72,7 @@ obs::RunReport build_run_report(const cfg::Scenario& s,
 
 obs::RunReport build_run_report(const cfg::Scenario& s,
                                 const Measurement& meas,
-                                const RunReportOptions& opts) {
+                                RunReportOptions opts) {
   obs::RunReport r;
   fill_common(r, s, opts);
   r.nodes = meas.config.nodes;

@@ -47,16 +47,15 @@ struct RunReportOptions {
 
 /// Provenance-only report: scenario identity, fingerprint and the
 /// embedded canonical document; no results/attribution. The base other
-/// builders extend.
-obs::RunReport build_run_report(const cfg::Scenario& s,
-                                const RunReportOptions& opts);
+/// builders extend. Both builders take `opts` by value and move its
+/// `summary` into the report.
+obs::RunReport build_run_report(const cfg::Scenario& s, RunReportOptions opts);
 
 /// Full report for one measured run of the scenario's configuration:
 /// results, per-category energy/time attribution and per-node rows, plus
 /// whatever `opts` attaches.
 obs::RunReport build_run_report(const cfg::Scenario& s,
-                                const Measurement& meas,
-                                const RunReportOptions& opts);
+                                const Measurement& meas, RunReportOptions opts);
 
 /// Add the `host` section: host wall seconds, host event throughput (from
 /// `metrics`' `sim.events_processed`, when given) and the enabled

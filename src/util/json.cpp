@@ -33,75 +33,64 @@ const char* kind_name(Kind k) {
 }
 
 bool Value::as_bool() const {
-  if (kind_ != Kind::kBool) kind_error("bool", kind_);
-  return bool_;
+  if (const auto* b = std::get_if<bool>(&data_)) return *b;
+  kind_error("bool", kind());
 }
 
 double Value::as_number() const {
-  if (kind_ != Kind::kNumber) kind_error("number", kind_);
-  return number_;
+  if (const auto* v = std::get_if<double>(&data_)) return *v;
+  kind_error("number", kind());
 }
 
 const std::string& Value::as_string() const {
-  if (kind_ != Kind::kString) kind_error("string", kind_);
-  return string_;
+  if (const auto* s = std::get_if<std::string>(&data_)) return *s;
+  kind_error("string", kind());
 }
 
 const Array& Value::as_array() const {
-  if (kind_ != Kind::kArray) kind_error("array", kind_);
-  return array_;
+  if (const auto* a = std::get_if<Array>(&data_)) return *a;
+  kind_error("array", kind());
 }
 
 Array& Value::as_array() {
-  if (kind_ != Kind::kArray) kind_error("array", kind_);
-  return array_;
+  if (auto* a = std::get_if<Array>(&data_)) return *a;
+  kind_error("array", kind());
 }
 
 const Members& Value::members() const {
-  if (kind_ != Kind::kObject) kind_error("object", kind_);
-  return members_;
+  if (const auto* m = std::get_if<Members>(&data_)) return *m;
+  kind_error("object", kind());
 }
 
 Members& Value::members() {
-  if (kind_ != Kind::kObject) kind_error("object", kind_);
-  return members_;
+  if (auto* m = std::get_if<Members>(&data_)) return *m;
+  kind_error("object", kind());
 }
 
 const Value* Value::find(const std::string& key) const {
-  if (kind_ != Kind::kObject) return nullptr;
-  for (const auto& [k, v] : members_) {
+  const auto* members = std::get_if<Members>(&data_);
+  if (members == nullptr) return nullptr;
+  for (const auto& [k, v] : *members) {
     if (k == key) return &v;
   }
   return nullptr;
 }
 
 void Value::set(const std::string& key, Value v) {
-  if (kind_ != Kind::kObject) kind_error("object", kind_);
-  for (auto& [k, existing] : members_) {
+  Members& m = members();
+  for (auto& [k, existing] : m) {
     if (k == key) {
       existing = std::move(v);
       return;
     }
   }
-  members_.emplace_back(key, std::move(v));
+  m.emplace_back(key, std::move(v));
 }
 
-void Value::push_back(Value v) {
-  if (kind_ != Kind::kArray) kind_error("array", kind_);
-  array_.push_back(std::move(v));
-}
+void Value::push_back(Value v) { as_array().push_back(std::move(v)); }
 
 bool Value::operator==(const Value& other) const {
-  if (kind_ != other.kind_) return false;
-  switch (kind_) {
-    case Kind::kNull: return true;
-    case Kind::kBool: return bool_ == other.bool_;
-    case Kind::kNumber: return number_ == other.number_;
-    case Kind::kString: return string_ == other.string_;
-    case Kind::kArray: return array_ == other.array_;
-    case Kind::kObject: return members_ == other.members_;
-  }
-  return false;
+  return data_ == other.data_;
 }
 
 namespace {

@@ -19,7 +19,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace hepex::util::json {
@@ -32,30 +34,30 @@ using Array = std::vector<Value>;
 
 enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
-/// One JSON value. Copyable; arrays/objects own their children.
+/// One JSON value. Copyable; arrays/objects own their children. The node
+/// is one variant whose index is the `Kind`, so a number or a bool costs
+/// no string or container members (40 bytes on LP64).
 class Value {
  public:
-  Value() : kind_(Kind::kNull) {}
-  Value(bool b) : kind_(Kind::kBool), bool_(b) {}                // NOLINT
-  Value(double v) : kind_(Kind::kNumber), number_(v) {}          // NOLINT
-  Value(int v) : kind_(Kind::kNumber), number_(v) {}             // NOLINT
-  Value(const char* s) : kind_(Kind::kString), string_(s) {}     // NOLINT
-  Value(std::string s)                                           // NOLINT
-      : kind_(Kind::kString), string_(std::move(s)) {}
-  Value(Array a) : kind_(Kind::kArray), array_(std::move(a)) {}  // NOLINT
-  Value(Members m)                                               // NOLINT
-      : kind_(Kind::kObject), members_(std::move(m)) {}
+  Value() = default;
+  Value(bool b) : data_(b) {}                                    // NOLINT
+  Value(double v) : data_(v) {}                                  // NOLINT
+  Value(int v) : data_(static_cast<double>(v)) {}                // NOLINT
+  Value(const char* s) : data_(std::string(s)) {}                // NOLINT
+  Value(std::string s) : data_(std::move(s)) {}                  // NOLINT
+  Value(Array a) : data_(std::move(a)) {}                        // NOLINT
+  Value(Members m) : data_(std::move(m)) {}                      // NOLINT
 
   static Value object() { return Value(Members{}); }
   static Value array() { return Value(Array{}); }
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
+  Kind kind() const { return static_cast<Kind>(data_.index()); }
+  bool is_null() const { return kind() == Kind::kNull; }
+  bool is_bool() const { return kind() == Kind::kBool; }
+  bool is_number() const { return kind() == Kind::kNumber; }
+  bool is_string() const { return kind() == Kind::kString; }
+  bool is_array() const { return kind() == Kind::kArray; }
+  bool is_object() const { return kind() == Kind::kObject; }
 
   /// Typed accessors; throw std::logic_error on a kind mismatch (callers
   /// are expected to check `kind()` / `is_*` first).
@@ -76,16 +78,29 @@ class Value {
   /// Append an array element.
   void push_back(Value v);
 
+  /// Same kind and equal payload; numbers compare as doubles (so
+  /// 0 == -0 and NaN != NaN).
   bool operator==(const Value& other) const;
 
  private:
-  Kind kind_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  Array array_;
-  Members members_;
+  /// Alternatives in `Kind` order: `kind()` is the index.
+  using Data =
+      std::variant<std::monostate, bool, double, std::string, Array, Members>;
+  template <Kind K, class T>
+  static constexpr bool kAt =
+      std::is_same_v<std::variant_alternative_t<static_cast<std::size_t>(K),
+                                                Data>,
+                     T>;
+  static_assert(kAt<Kind::kNull, std::monostate> && kAt<Kind::kBool, bool> &&
+                    kAt<Kind::kNumber, double> &&
+                    kAt<Kind::kString, std::string> &&
+                    kAt<Kind::kArray, Array> && kAt<Kind::kObject, Members>,
+                "Kind names the variant's alternatives in index order");
+
+  Data data_;
 };
+
+static_assert(sizeof(Value) <= 40, "a JSON node is one variant");
 
 /// Human-readable kind name ("number", "object", ...) for error messages.
 const char* kind_name(Kind k);

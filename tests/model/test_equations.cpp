@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/queueing.hpp"
+#include "util/rng.hpp"
 
 namespace hepex::model::equations {
 namespace {
@@ -108,6 +114,101 @@ TEST(Eq5Wait, GrowsWithNodeCount) {
     EXPECT_GT(w, prev);
     prev = w;
   }
+}
+
+/// Reference for `t_wait_net_it_s`: the same bracket and bisection with
+/// no early exit, so all 100 halvings always run. The solver must return
+/// the same bits for every input.
+q::Seconds t_wait_net_it_s_100_steps(int nodes, double eta_it,
+                                     q::Seconds serve_it, q::Seconds y,
+                                     q::SecondsSq y2) {
+  if (nodes < 2 || eta_it <= 0.0 || y <= q::Seconds{}) return q::Seconds{};
+  const double n = nodes;
+  const q::Seconds t_min = n * eta_it * y;
+  auto g = [&](q::Seconds t) {
+    const q::Hertz lambda = n * eta_it / t;
+    const q::Seconds wait = sim::queueing::mg1_mean_wait(lambda, y, y2);
+    return serve_it + eta_it * wait - t;
+  };
+  q::Seconds lo = t_min * (1.0 + 1e-6);
+  q::Seconds hi = std::max(serve_it, t_min) * 4.0 + t_min;
+  while (g(hi) > q::Seconds{}) hi *= 2.0;
+  for (int k = 0; k < 100; ++k) {
+    const q::Seconds mid = 0.5 * (lo + hi);
+    if (g(mid) > q::Seconds{}) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::max(q::Seconds{}, 0.5 * (lo + hi) - serve_it);
+}
+
+std::uint64_t bits(q::Seconds s) {
+  return std::bit_cast<std::uint64_t>(s.value());
+}
+
+void expect_same_bits(int n, double eta, q::Seconds serve, q::Seconds y,
+                      q::SecondsSq y2) {
+  EXPECT_EQ(bits(t_wait_net_it_s(n, eta, serve, y, y2)),
+            bits(t_wait_net_it_s_100_steps(n, eta, serve, y, y2)))
+      << "n=" << n << " eta=" << eta << " serve=" << serve.value()
+      << " y=" << y.value() << " y2=" << y2.value();
+}
+
+TEST(Eq5Wait, StoppingAtTheFixedPointKeepsEveryBit) {
+  util::Rng rng(0x5eed'0005);
+  const auto log_uniform = [&rng](double lo_exp, double hi_exp) {
+    return std::pow(10.0, rng.uniform(lo_exp, hi_exp));
+  };
+  int mismatches = 0;
+  for (int i = 0; i < 120'000; ++i) {
+    const int n = 1 + static_cast<int>(rng() % 1024);
+    const double eta = i % 20 == 0 ? 0.0 : log_uniform(-3.0, 4.0);
+    const q::Seconds serve{log_uniform(-9.0, 3.0)};
+    const q::Seconds y{log_uniform(-9.0, -1.0)};
+    const q::SecondsSq y2 = y * y * log_uniform(-3.0, 3.0);
+    const q::Seconds got = t_wait_net_it_s(n, eta, serve, y, y2);
+    const q::Seconds want = t_wait_net_it_s_100_steps(n, eta, serve, y, y2);
+    if (bits(got) != bits(want)) {
+      if (++mismatches <= 5) expect_same_bits(n, eta, serve, y, y2);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Eq5Wait, StoppingAtTheFixedPointKeepsEveryBitAtTheEdges) {
+  const q::Seconds y{1e-3};
+  const q::SecondsSq y2 = y * y * 1.5;
+  // The early zero return: one node, no messages, no service time.
+  expect_same_bits(1, 5.0, q::Seconds{1.0}, y, y2);
+  expect_same_bits(8, 0.0, q::Seconds{1.0}, y, y2);
+  expect_same_bits(8, -2.0, q::Seconds{1.0}, y, y2);
+  expect_same_bits(8, 5.0, q::Seconds{1.0}, q::Seconds{}, y2);
+  expect_same_bits(8, 5.0, q::Seconds{1.0}, q::Seconds{-1e-3}, y2);
+  // rho just under 1 at the bracket's low end: with no service-time
+  // variance (or nearly none) and serve below t_min, the root sits at
+  // t_min * (1 + 1e-6), where rho = 1 / (1 + 1e-6).
+  const int n = 16;
+  const double eta = 40.0;
+  const q::Seconds t_min = n * eta * y;
+  for (const double spread : {0.0, 1e-12, 1e-6, 1.0}) {
+    expect_same_bits(n, eta, t_min * 0.5, y, y * y * spread);
+    expect_same_bits(n, eta, t_min * (1.0 - 1e-9), y, y * y * spread);
+    expect_same_bits(n, eta, t_min, y, y * y * spread);
+  }
+  // serve far above and far below t_min.
+  for (const double ratio : {1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e12}) {
+    expect_same_bits(n, eta, t_min * ratio, y, y2);
+  }
+  // A bracket 2^57 t_min wide (serve / t_min = 2^55), the widest the
+  // initial bracket gets relative to t_min in these tests ...
+  expect_same_bits(n, eta, t_min * std::ldexp(1.0, 55), y, y2);
+  expect_same_bits(2, 1e-3, q::Seconds{std::ldexp(2e-3 * 1e-9, 55)},
+                   q::Seconds{1e-9}, q::SecondsSq{1e-18});
+  // ... and one that overflows to infinity at once.
+  expect_same_bits(n, eta, q::Seconds{std::numeric_limits<double>::infinity()},
+                   y, y2);
 }
 
 TEST(Eq9To12Energy, HandComputedValues) {

@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/json.hpp"
 
@@ -161,6 +162,39 @@ TEST(RunReport, RoundTripPreservesEveryField) {
   EXPECT_EQ(find_category(b, "total"), nullptr);
   ASSERT_NE(find_category(b, "memory"), nullptr);
   EXPECT_DOUBLE_EQ(find_category(b, "memory")->energy_j, 10.0);
+}
+
+TEST(RunReport, MovedAndCopiedDocumentsHaveTheSameBytes) {
+  // Every section present: the rvalue overload moves the scenario,
+  // spans, metrics and summary subtrees, the lvalue one copies them.
+  RunReport r = sample();
+  r.replicas = 3;
+  r.jobs = 2;
+  r.scenario = util::json::parse(
+      R"({"machine": {"preset": "xeon"}, "program": "SP",
+          "sim": {"seed": 42, "nodes": [1, 2]}})");
+  r.spans = util::json::parse(
+      R"({"compute": {"count": 4, "total_s": 1.5, "max_s": 0.5}})");
+  r.metrics = util::json::parse(
+      R"({"counters": {"sim.events_processed": 1000},
+          "gauges": {"sim.events_per_virtual_s": 100}})");
+  r.summary = util::json::parse(
+      R"({"frontier_points": 1,
+          "frontier": [{"n": 2, "c": 4, "f_ghz": 1.8, "ucr": 0.5}]})");
+  r.has_host = true;
+  r.host_wall_s = 0.25;
+  r.host_events_per_s = 4000.0;
+  r.host_profile = {{"engine.run", 1.0, 0.2, 0.2},
+                    {"report", 2.0, 0.01, 0.006}};
+
+  const std::string copied = util::json::dump(r.to_json_value());
+  EXPECT_EQ(util::json::dump(r.to_json_value()), copied);  // r is intact
+  for (const char* key :
+       {"\"scenario\"", "\"spans\"", "\"per_node\"", "\"metrics\"",
+        "\"summary\"", "\"profile\"", "\"results\"", "\"replicas\""}) {
+    EXPECT_NE(copied.find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(util::json::dump(std::move(r).to_json_value()), copied);
 }
 
 TEST(RunReport, SchemaMismatchThrowsWithSource) {

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -280,6 +281,110 @@ TEST(Json, QuoteEscapes) {
 TEST(Json, EqualityIsStructural) {
   EXPECT_EQ(parse(R"({"a": [1, 2]})"), parse(R"({ "a" : [ 1, 2 ] })"));
   EXPECT_FALSE(parse(R"({"a": 1})") == parse(R"({"a": 2})"));
+}
+
+// --- the node: one variant whose index is the Kind ---------------------
+
+namespace {
+
+/// One value of every kind, with enough payload that a shallow copy
+/// would share storage.
+std::vector<Value> one_of_each_kind() {
+  Members m;
+  m.emplace_back("k", Value("a string long enough to live on the heap"));
+  m.emplace_back("n", Value(Array{Value(1), Value(true), Value()}));
+  return {Value(), Value(false), Value(true), Value(2.5),
+          Value("text, also longer than the small-string buffer"),
+          Value(Array{Value(1), Value("x"), Value(Members{})}),
+          Value(std::move(m))};
+}
+
+}  // namespace
+
+TEST(JsonNode, EveryKindSurvivesConstructCopyMoveAndEquality) {
+  for (const Value& v : one_of_each_kind()) {
+    SCOPED_TRACE(dump_compact(v));
+    // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+    const Value copy = v;
+    EXPECT_EQ(copy.kind(), v.kind());
+    EXPECT_EQ(copy, v);
+    Value source = v;
+    const Value moved = std::move(source);
+    EXPECT_EQ(moved.kind(), v.kind());
+    EXPECT_EQ(moved, v);
+    Value assigned;
+    assigned = moved;
+    EXPECT_EQ(assigned, v);
+    Value move_assigned = Value(7);
+    move_assigned = Value(assigned);
+    EXPECT_EQ(move_assigned, v);
+    EXPECT_EQ(dump(move_assigned), dump(v));
+  }
+  EXPECT_TRUE(Value().is_null());
+  EXPECT_EQ(Value(3).kind(), Kind::kNumber);
+  EXPECT_EQ(Value(3).as_number(), 3.0);
+  EXPECT_EQ(Value("c").kind(), Kind::kString);
+  EXPECT_EQ(Value(std::string("s")).as_string(), "s");
+  EXPECT_EQ(Value::object().kind(), Kind::kObject);
+  EXPECT_EQ(Value::array().kind(), Kind::kArray);
+}
+
+TEST(JsonNode, DifferentKindsNeverCompareEqual) {
+  const std::vector<Value> all = one_of_each_kind();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    for (std::size_t j = 0; j < all.size(); ++j) {
+      EXPECT_EQ(all[i] == all[j], i == j) << i << " vs " << j;
+    }
+  }
+  // A bool is not the number it converts to, nor null an empty object.
+  EXPECT_FALSE(Value(true) == Value(1));
+  EXPECT_FALSE(Value(false) == Value(0));
+  EXPECT_FALSE(Value() == Value::object());
+  EXPECT_FALSE(Value::array() == Value::object());
+}
+
+TEST(JsonNode, NumbersCompareAsDoubles) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(Value(0.0) == Value(-0.0));
+  EXPECT_FALSE(Value(nan) == Value(nan));
+  EXPECT_FALSE(Value(Array{Value(nan)}) == Value(Array{Value(nan)}));
+  EXPECT_TRUE(Value(Array{Value(-0.0)}) == Value(Array{Value(0.0)}));
+  // Copies and moves keep the sign of zero and the NaN.
+  const Value neg_zero(-0.0);
+  Value moved = Value(neg_zero);
+  EXPECT_TRUE(std::signbit(moved.as_number()));
+  EXPECT_TRUE(std::isnan(Value(Value(nan)).as_number()));
+  EXPECT_EQ(dump_compact(moved), "-0");
+}
+
+TEST(JsonNode, ACopiedTreeIsIndependentOfItsSource) {
+  Value source = parse(R"({"a": [1, {"b": "c"}], "d": {"e": null}})");
+  const std::string before = dump(source);
+  Value copy = source;
+  copy.set("d", Value("replaced"));
+  copy.members()[0].second.push_back(Value(3));
+  copy.members()[0].second.as_array()[1].set("b", Value(false));
+  EXPECT_EQ(dump(source), before);
+  EXPECT_FALSE(copy == source);
+
+  source.members()[0].second.as_array().clear();
+  source.set("f", Value(1));
+  EXPECT_EQ(dump_compact(copy),
+            R"({"a":[1,{"b":false},3],"d":"replaced"})");
+}
+
+TEST(JsonNode, AMovedFromValueCanBeReassignedAndDumped) {
+  for (const Value& v : one_of_each_kind()) {
+    SCOPED_TRACE(dump_compact(v));
+    Value from = v;
+    const Value to = std::move(from);
+    EXPECT_EQ(to, v);
+    (void)dump(from);  // NOLINT(bugprone-use-after-move): valid, unspecified
+    from = Value(Members{{"again", Value(1)}});
+    EXPECT_EQ(dump_compact(from), R"({"again":1})");
+    from = Value("s");
+    EXPECT_EQ(dump_compact(from), R"("s")");
+  }
 }
 
 // --- adversarial-input limits (hepexd's first parsing defense) ----------
