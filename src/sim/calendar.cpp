@@ -21,6 +21,7 @@ void ActionPool::add_chunk() {
 // EventCalendar
 
 void EventCalendar::link(const Key& k) {
+  ++pushes_;
   if (run_.empty() || earlier(run_.back(), k)) {
     run_.push_back() = k;  // later than every key in the run
   } else {
@@ -35,16 +36,10 @@ void EventCalendar::link(const Key& k) {
     }
     heap_[i] = k;
   }
-  if (size() > peak_pending_) peak_pending_ = size();
+  if (++size_ > peak_pending_) peak_pending_ = size_;
 }
 
-EventCalendar::Fired EventCalendar::pop() {
-  HEPEX_ASSERT(!empty(), "pop from empty calendar");
-  if (run_first()) {
-    const Key front = run_.front();
-    run_.pop_front();
-    return Fired{front.time, front.action};
-  }
+EventCalendar::Key EventCalendar::pop_heap() {
   const Key top = heap_.front();
   const Key last = heap_.back();
   heap_.pop_back();
@@ -66,16 +61,38 @@ EventCalendar::Fired EventCalendar::pop() {
     }
     heap_[i] = last;
   }
-  return Fired{top.time, top.action};
+  return top;
+}
+
+EventCalendar::Fired EventCalendar::pop() {
+  HEPEX_ASSERT(!empty(), "pop from empty calendar");
+  --size_;
+  Key k{};
+  if (run_first()) {
+    k = run_.front();
+    run_.pop_front();
+  } else {
+    k = pop_heap();
+  }
+  // An owned event stamped with a later seq has been pushed again since
+  // this key was linked: the key pops, but the event does not fire.
+  if ((k.ref & kOwned) != 0 &&
+      reinterpret_cast<const Event*>(k.ref - kOwned)->seq != k.seq) {
+    ++superseded_;
+    return Fired{k.time, 0};
+  }
+  return Fired{k.time, k.ref};
 }
 
 CalendarStats EventCalendar::stats() const {
   CalendarStats s;
+  s.pushes = pushes_;
   s.slot_acquires = pool_.acquires();
   s.slot_chunks = pool_.chunks();
   s.slot_high_water = pool_.high_water();
   s.peak_pending = peak_pending_;
   s.heap_pushes = heap_pushes_;
+  s.superseded = superseded_;
   return s;
 }
 

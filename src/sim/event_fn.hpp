@@ -1,21 +1,29 @@
 #pragma once
 /// \file event_fn.hpp
-/// \brief Small-buffer-optimized callables for the simulator hot path.
+/// \brief Event records for the simulator hot path: owned events and
+/// small-buffer-optimized callables.
 ///
-/// The discrete-event kernel schedules hundreds of thousands of closures
-/// per run; with `std::function` every capture beyond the two-word SBO
-/// paid a heap allocation *per scheduled event*. `SmallFn` stores its
-/// callable in an inline buffer and nowhere else: a capture that does
-/// not fit (too large, too strictly aligned, or with a move that can
-/// throw) is a compile error, so the event path never allocates.
+/// The discrete-event kernel fires hundreds of thousands of events per
+/// run, and there are two ways to hand it one:
 ///
-/// Two instantiations cover the engine, each sized so that the record
-/// holding it fills one 64-byte cache line:
+///  * **Owned events.** An event with exactly one owner that never has
+///    two firings pending at once — a station's completion, a thread's
+///    compute end — is a `sim::Event` inside its owner: the owner derives
+///    from `Event`, sets `fire` to a function that `static_cast`s the
+///    `Event&` back to the owner, and is scheduled by reference. Nothing
+///    is built, moved or destroyed per event.
+///  * **Closures.** Everything else (fault, recovery and backoff events,
+///    tests) is a lambda held in a `SmallFn`: the callable lives in an
+///    inline buffer and nowhere else; a capture that does not fit (too
+///    large, too strictly aligned, or with a move that can throw) is a
+///    compile error, so the event path never allocates.
+///
+/// Two `SmallFn` instantiations cover the engine, each sized so that the
+/// record holding it fills one 64-byte cache line:
 ///  * `EventFn` (`void()`, 56-byte buffer + dispatch pointer = 64 bytes):
-///    calendar actions, one action-pool slot each. The engine's largest
-///    event capture is 32 bytes (a compute chunk: this, thread index,
-///    chunk time, epoch); a station's completion event captures only
-///    the station.
+///    scheduled closures, one action-pool slot each. The engine's largest
+///    event capture is 32 bytes (a send backoff: this, destination,
+///    payload size, attempt, epoch).
 ///  * `CompletionFn` (`void(SimTime)`, 32-byte buffer, 40 bytes):
 ///    `sim::Resource` continuations. Sized for the execution engine's
 ///    largest completion capture (the send-loop continuation: this,
@@ -31,6 +39,7 @@
 /// state it never needs here.
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -38,6 +47,15 @@
 #include "util/quantity.hpp"
 
 namespace hepex::sim {
+
+/// An owned event (see file doc): the base of its owner, scheduled with
+/// `Simulator::schedule(delay, Event&)`. `seq` is the sequence number of
+/// the event's latest scheduling; a pending key with an older seq has
+/// been superseded and pops without firing.
+struct Event {
+  void (*fire)(Event&) = nullptr;
+  std::uint64_t seq = 0;
+};
 
 /// Move-only `void(Args...)` callable stored in `InlineBytes` of inline
 /// storage.
@@ -93,6 +111,14 @@ class SmallFn {
   /// Invoke the stored callable (must not be empty).
   void operator()(Args... args) { ops_->invoke(buf_, args...); }
 
+  /// Destroy the stored callable, if any, leaving this SmallFn empty.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
+
  private:
   struct Ops {
     void (*invoke)(void* self, Args... args);
@@ -127,12 +153,6 @@ class SmallFn {
     ops_ = &InlineOps<Fn>::ops;
   }
 
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
   void move_from(SmallFn& other) noexcept {
     if (other.ops_ != nullptr) {
       other.ops_->relocate(buf_, other.buf_);
@@ -145,7 +165,7 @@ class SmallFn {
   const Ops* ops_ = nullptr;
 };
 
-/// Calendar event action (`void()`): one 64-byte action-pool slot.
+/// Scheduled closure (`void()`): one 64-byte action-pool slot.
 using EventFn = SmallFn<56>;
 
 /// Queueing-resource completion continuation; receives the time the job

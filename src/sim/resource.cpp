@@ -16,7 +16,7 @@ void Resource::start(SimTime service, SimTime arrival, std::uint32_t depth,
   started_ = sim_.now();
   waited_ = waited;
   depth_ = depth;
-  sim_.schedule(service, [this] { complete(); });
+  sim_.schedule(service, *this);
 }
 
 void Resource::complete() {

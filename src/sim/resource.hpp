@@ -13,11 +13,12 @@
 /// Hot-path design: a 1000-node run holds ~2,000 stations and every
 /// simulated memory access or message passes through one, so a station
 /// touches few bytes per job. The job in service lives inline in the
-/// station and its completion event captures only `this`; waiting jobs
-/// are 64-byte records in a `sim::Ring` (grow-only, power-of-two, 2
-/// entries at first); `request` constructs the caller's continuation in place
-/// (`SmallFn::emplace`). In steady state a request/complete cycle
-/// performs no heap allocation.
+/// station, and the station is its own completion event (an owned
+/// `sim::Event` scheduled by reference, so no closure is built per job;
+/// see event_fn.hpp); waiting jobs are 64-byte records in a `sim::Ring`
+/// (grow-only, power-of-two, 2 entries at first); `request` constructs
+/// the caller's continuation in place (`SmallFn::emplace`). In steady
+/// state a request/complete cycle performs no heap allocation.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,8 +34,9 @@ namespace hepex::sim {
 
 /// A single-server FCFS queueing station with busy-time accounting. A
 /// job's wait reaches its continuation and the observer; the station
-/// keeps no per-job statistics of its own.
-class Resource {
+/// keeps no per-job statistics of its own. A station is its own
+/// completion event: with a single server, at most one is pending.
+class Resource : private Event {
  public:
   /// Invoked when service completes; receives the time the job spent
   /// waiting in queue before service started. Small-buffer + move-only
@@ -63,7 +65,8 @@ class Resource {
   using Observer = std::function<void(const Resource&, const JobObservation&)>;
 
   /// \param sim  owning simulator (must outlive the resource)
-  explicit Resource(Simulator& sim) : sim_(sim) {}
+  explicit Resource(Simulator& sim)
+      : Event{&Resource::fire_completion, 0}, sim_(sim) {}
 
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
@@ -117,6 +120,9 @@ class Resource {
   void start(SimTime service, SimTime arrival, std::uint32_t depth,
              SimTime waited);
   void complete();
+  static void fire_completion(Event& ev) {
+    static_cast<Resource&>(ev).complete();
+  }
 
   Simulator& sim_;
   Observer observer_;

@@ -8,17 +8,25 @@
 
 namespace hepex::sim {
 
+void Simulator::fire_next() {
+  const auto fired = calendar_.pop();
+  now_ = fired.time;
+  if (Event* ev = fired.owned()) {
+    ev->fire(*ev);
+  } else if (EventFn* action = fired.action()) {
+    // The closure runs in its pool slot (stable address), so it may
+    // schedule new events while alive.
+    (*action)();
+    calendar_.release(action);
+  }
+  ++processed_;
+}
+
 std::size_t Simulator::run(std::size_t max_events) {
   std::size_t processed = 0;
   while (!calendar_.empty() && processed < max_events) {
-    const auto fired = calendar_.pop();
-    now_ = fired.time;
-    // The action runs in its pool slot (stable address), so it may
-    // schedule new events while alive.
-    (*fired.action)();
-    calendar_.release(fired.action);
+    fire_next();
     ++processed;
-    ++processed_;
   }
   return processed;
 }
@@ -30,12 +38,8 @@ std::size_t Simulator::run_until(SimTime t_end) {
   // event scheduled at exactly t_end from within a fired action still
   // runs in this call (see the header's boundary guarantee).
   while (!calendar_.empty() && calendar_.top_time() <= t_end) {
-    const auto fired = calendar_.pop();
-    now_ = fired.time;
-    (*fired.action)();
-    calendar_.release(fired.action);
+    fire_next();
     ++processed;
-    ++processed_;
   }
   if (now_ < t_end) now_ = t_end;
   return processed;

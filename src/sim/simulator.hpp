@@ -6,12 +6,16 @@
 /// components schedule events on a shared virtual clock. Events with equal
 /// timestamps fire in FIFO scheduling order, which keeps runs deterministic.
 ///
-/// The calendar is one flat heap of `(time, scheduling order)` keys (see
+/// The calendar orders `(time, scheduling order)` keys (see
 /// calendar.hpp), so the pop order is that total order by construction.
+/// An event is either an owned `Event` scheduled by reference (the
+/// engine's hot path) or a closure parked in the calendar's action pool
+/// (see event_fn.hpp).
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "sim/calendar.hpp"
@@ -40,12 +44,24 @@ class Simulator {
   /// The schedule entry points are templates so the caller's lambda
   /// constructs the `Action` directly in its calendar slot: the hot path
   /// never moves a capture buffer through the call chain.
-  template <typename F>
+  template <typename F, std::enable_if_t<
+                            !std::is_base_of_v<Event, std::decay_t<F>>,
+                            int> = 0>
   void schedule(SimTime delay, F&& fn) {
     HEPEX_REQUIRE(q::isfinite(delay), "event delay must be finite");
     HEPEX_REQUIRE(delay >= SimTime{}, "cannot schedule events in the past");
     check_action(fn);
     calendar_.push(now_ + delay, seq_++, std::forward<F>(fn));
+  }
+
+  /// Schedule the owned event `ev` to fire `delay` after now (delay >=
+  /// 0). `ev` must outlive its pending keys. If a key of `ev` is still
+  /// pending it is superseded: it pops at its time, advancing the clock
+  /// and counting as processed, but does not fire.
+  void schedule(SimTime delay, Event& ev) {
+    HEPEX_REQUIRE(q::isfinite(delay), "event delay must be finite");
+    HEPEX_REQUIRE(delay >= SimTime{}, "cannot schedule events in the past");
+    calendar_.push(now_ + delay, seq_++, ev);
   }
 
   /// Schedule `fn` at absolute virtual time `t` (t >= now()).
@@ -84,8 +100,8 @@ class Simulator {
   /// `sim.events_processed` counter.
   std::uint64_t total_processed() const { return processed_; }
 
-  /// Calendar occupancy/allocation counters (action-pool chunks, peak
-  /// pending depth).
+  /// Calendar occupancy/allocation counters (pushes, action-pool chunks,
+  /// peak pending depth, superseded keys).
   CalendarStats calendar_stats() const { return calendar_.stats(); }
 
  private:
@@ -95,6 +111,10 @@ class Simulator {
   }
   template <typename F>
   void check_action(const F&) const {}
+
+  /// Pop the earliest event, advance the clock to it and fire it (a
+  /// superseded key only advances the clock).
+  void fire_next();
 
   SimTime now_{0.0};
   std::uint64_t seq_ = 0;

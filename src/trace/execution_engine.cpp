@@ -99,8 +99,9 @@ constexpr std::array<MarkKind, static_cast<std::size_t>(Mark::kCount)>
 constexpr int kClusterNode = obs::SpanAggregator::kClusterNode;
 
 /// Mutable state of one simulated run. Lives on the stack of simulate();
-/// event callbacks capture a pointer to it, and the event calendar drains
-/// before simulate() returns, so the pointer never dangles.
+/// event callbacks capture a pointer to it (and each thread, its own
+/// compute-end event, holds one), and the event calendar drains before
+/// simulate() returns, so the pointer never dangles.
 struct Run {
   const MachineSpec& machine;
   const ProgramSpec& program;
@@ -117,13 +118,21 @@ struct Run {
   std::vector<std::unique_ptr<sim::Resource>> stack;  // per-node MPI/TCP stack
   std::unique_ptr<sim::Resource> net;                 // the shared switch
 
-  // Per-thread execution state, reset each iteration.
-  struct Thread {
+  // Per-thread execution state, reset each iteration. A thread is its
+  // own compute-end event (an owned sim::Event, scheduled by reference);
+  // `run`, `index`, `chunk_s` and `epoch` are what its handler reads.
+  // `threads` is sized once, in the constructor, so no thread moves
+  // while one of its events is pending.
+  struct Thread : sim::Event {
     int process = 0;          // owning node / MPI rank
     int chunks_left = 0;
     q::Seconds compute_chunk_s{};
     q::Seconds mem_service_chunk_s{};
     q::Seconds credit_s{};    // DRAM service hideable under the next chunk
+    Run* run = nullptr;
+    std::size_t index = 0;    // position in `threads`
+    q::Seconds chunk_s{};     // effective compute time of the pending chunk
+    int epoch = 0;            // run epoch the pending chunk belongs to
   };
   std::vector<Thread> threads;
 
@@ -206,10 +215,12 @@ struct Run {
     }
     net = std::make_unique<sim::Resource>(sim);
     threads.resize(static_cast<std::size_t>(cfg.nodes) * cfg.cores);
-    for (int p_id = 0; p_id < cfg.nodes; ++p_id) {
-      for (int t = 0; t < cfg.cores; ++t) {
-        threads[static_cast<std::size_t>(p_id) * cfg.cores + t].process = p_id;
-      }
+    for (std::size_t i = 0; i < threads.size(); ++i) {
+      Thread& t = threads[i];
+      t.fire = &Run::compute_end;
+      t.process = static_cast<int>(i) / cfg.cores;
+      t.run = this;
+      t.index = i;
     }
     const auto nodes = static_cast<std::size_t>(cfg.nodes);
     proc_threads_left.assign(nodes, 0);
@@ -654,40 +665,54 @@ struct Run {
       }
     }
 
-    sim.schedule(eff_compute, [this, tid, eff_compute, e = epoch] {
-      if (aborted || e != epoch) return;
-      Thread& th = threads[tid];
-      if (is_dead(th.process)) return;
-      touch(th.process);
-      if (eff_compute > q::Seconds{}) {
-        span(Span::kCompute, th.process, sim.now() - eff_compute, eff_compute,
-             lane_of(tid));
-      }
-      if (th.mem_service_chunk_s <= q::Seconds{}) {
-        thread_step(tid);
-        return;
-      }
-      const q::Seconds service = th.mem_service_chunk_s;
-      mem[static_cast<std::size_t>(th.process)]->request(
-          service, [this, tid, service, e2 = epoch](sim::SimTime waited) {
-            if (aborted || e2 != epoch) return;
-            Thread& th2 = threads[tid];
-            if (is_dead(th2.process)) return;
-            const q::Seconds stall = waited + service;
-            stall_net_s += stall;
-            iter_stall_s[static_cast<std::size_t>(th2.process)] += stall;
-            node_usage[static_cast<std::size_t>(th2.process)].stall_s +=
-                stall;
-            counters.mem_stall_cycles += stall * f_of(th2.process);
-            th2.credit_s = isa().memory_overlap * service;
-            touch(th2.process);
-            // The core-side view of the same interval the memctl lane
-            // shows: queueing delay plus DRAM service.
-            span(Span::kMemStall, th2.process, sim.now() - stall, stall,
-                 lane_of(tid));
-            thread_step(tid);
-          });
-    });
+    t.chunk_s = eff_compute;
+    t.epoch = epoch;
+    sim.schedule(eff_compute, t);
+  }
+
+  /// The thread's owned event: the end of its compute chunk.
+  static void compute_end(sim::Event& ev) {
+    Thread& th = static_cast<Thread&>(ev);
+    th.run->chunk_done(th);
+  }
+
+  /// After a recovery, the restarted iteration re-schedules threads whose
+  /// chunks from the abandoned epoch may still be pending: those keys are
+  /// superseded and never get here, and the epoch check stops a stale
+  /// chunk whose thread has not been re-scheduled.
+  void chunk_done(Thread& th) {
+    if (aborted || th.epoch != epoch) return;
+    if (is_dead(th.process)) return;
+    const std::size_t tid = th.index;
+    const q::Seconds eff_compute = th.chunk_s;
+    touch(th.process);
+    if (eff_compute > q::Seconds{}) {
+      span(Span::kCompute, th.process, sim.now() - eff_compute, eff_compute,
+           lane_of(tid));
+    }
+    if (th.mem_service_chunk_s <= q::Seconds{}) {
+      thread_step(tid);
+      return;
+    }
+    const q::Seconds service = th.mem_service_chunk_s;
+    mem[static_cast<std::size_t>(th.process)]->request(
+        service, [this, tid, service, e = epoch](sim::SimTime waited) {
+          if (aborted || e != epoch) return;
+          Thread& th2 = threads[tid];
+          if (is_dead(th2.process)) return;
+          const q::Seconds stall = waited + service;
+          stall_net_s += stall;
+          iter_stall_s[static_cast<std::size_t>(th2.process)] += stall;
+          node_usage[static_cast<std::size_t>(th2.process)].stall_s += stall;
+          counters.mem_stall_cycles += stall * f_of(th2.process);
+          th2.credit_s = isa().memory_overlap * service;
+          touch(th2.process);
+          // The core-side view of the same interval the memctl lane
+          // shows: queueing delay plus DRAM service.
+          span(Span::kMemStall, th2.process, sim.now() - stall, stall,
+               lane_of(tid));
+          thread_step(tid);
+        });
   }
 
   void thread_done(int process) {
@@ -952,11 +977,15 @@ struct Run {
       reg->counter("sim.events_scheduled").add(sim.total_scheduled());
       // Allocation accounting for the zero-alloc steady-state claim
       // (docs/performance.md): action-pool chunks are the only path that
-      // can reach operator new on the event hot path, so slot_chunks
-      // against events_processed gives heap allocations per event.
+      // can reach operator new on the event path, so slot_chunks against
+      // events_processed gives heap allocations per event. Owned events
+      // (station completions, compute ends) take no slot, so pushes
+      // against slot_acquires shows how many events were closures.
       const sim::CalendarStats cal = sim.calendar_stats();
+      reg->counter("sim.calendar.pushes").add(cal.pushes);
       reg->counter("sim.calendar.slot_acquires").add(cal.slot_acquires);
       reg->counter("sim.calendar.heap_pushes").add(cal.heap_pushes);
+      reg->counter("sim.calendar.superseded").add(cal.superseded);
       reg->counter("sim.calendar.slot_chunks").add(cal.slot_chunks);
       reg->counter("sim.calendar.slot_high_water").add(cal.slot_high_water);
       reg->counter("sim.calendar.peak_pending").add(cal.peak_pending);

@@ -75,8 +75,8 @@ std::vector<std::uint64_t> drain(EventCalendar& cal,
     EXPECT_EQ(ev.time, top) << "top_time disagrees with pop";
     EXPECT_GE(ev.time.value(), last_time) << "time went backwards";
     last_time = ev.time.value();
-    (*ev.action)();
-    cal.release(ev.action);
+    (*ev.action())();
+    cal.release(ev.action());
   }
   return fired;
 }
@@ -189,8 +189,8 @@ TEST(ShardedCalendar, ReentrantPushDuringDrain) {
   while (!cal.empty()) {
     const auto ev = cal.pop();
     const auto want = ref.pop();
-    (*ev.action)();
-    cal.release(ev.action);
+    (*ev.action())();
+    cal.release(ev.action());
     ASSERT_EQ(fired.size(), pops + 1);
     EXPECT_EQ(fired.back(), want) << "pop " << pops;
     EXPECT_EQ(ev.time.value(), want.first) << "pop " << pops;
@@ -237,8 +237,8 @@ TEST(ShardedCalendar, DeepTiedMonotoneRunsMatchReferencePopByPop) {
   while (!cal.empty()) {
     const auto ev = cal.pop();
     const auto want = ref.pop();
-    (*ev.action)();
-    cal.release(ev.action);
+    (*ev.action())();
+    cal.release(ev.action());
     ASSERT_EQ(fired.back(), want) << "pop " << pops;
     ASSERT_GE(ev.time.value(), last_time);
     last_time = ev.time.value();
@@ -273,8 +273,8 @@ class Lockstep {
     const auto want = ref_.pop();
     ASSERT_EQ(cal_.top_time().value(), want.first) << "pop " << pops_;
     const auto ev = cal_.pop();
-    (*ev.action)();
-    cal_.release(ev.action);
+    (*ev.action())();
+    cal_.release(ev.action());
     ASSERT_EQ(fired_.back(), want) << "pop " << pops_;
     ASSERT_EQ(ev.time.value(), want.first) << "pop " << pops_;
     ++pops_;

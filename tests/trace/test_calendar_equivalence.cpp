@@ -25,6 +25,7 @@
 
 #include "fault/plan.hpp"
 #include "hw/presets.hpp"
+#include "obs/registry.hpp"
 #include "trace/execution_engine.hpp"
 #include "workload/programs.hpp"
 
@@ -201,6 +202,42 @@ TEST(CalendarEquivalenceFault, DegradedRunBitIdentical) {
   const Measurement m = simulate(machine, program, cfg, opt);
   EXPECT_GT(m.faults.crashes, 0);
   check_against_golden("xeon_SP_faults", m);
+}
+
+/// A recovery that restarts the hung iteration at once (restart_s 0, no
+/// rework in the first iteration) while compute chunks of the abandoned
+/// attempt are still pending: the barrier timeout is shorter than a
+/// chunk. The restarted threads re-schedule their compute ends, which
+/// supersedes those pending keys. The golden was generated by the engine
+/// whose compute ends were closures (they fired and returned on the
+/// epoch check), so it pins that supersession changes no bit.
+TEST(CalendarEquivalenceFault, ImmediateRestartSupersedesPendingChunks) {
+  const hw::MachineSpec machine = hw::machine_by_name("xeon");
+  const auto program =
+      workload::program_by_name("SP", workload::InputClass::kS);
+  const hw::ClusterConfig cfg{4, machine.node.cores, q::Hertz{1.8e9}};
+  SimOptions opt;
+  const Measurement clean = simulate(machine, program, cfg, opt);
+  const double chunk_s = clean.iteration_s.min() / opt.chunks_per_iteration;
+
+  fault::Plan plan;
+  plan.crashes.push_back(fault::NodeCrash{2, 1.3 * chunk_s});
+  plan.recovery.mode = fault::RecoveryMode::kCheckpointRestart;
+  plan.recovery.barrier_timeout_s = 0.4 * chunk_s;
+  plan.recovery.checkpoint_interval_s = 0.0;
+  plan.recovery.restart_s = 0.0;
+  plan.recovery.spare_nodes = 1;
+  opt.faults = &plan;
+  obs::Registry reg;
+  opt.metrics = &reg;
+  const Measurement m = simulate(machine, program, cfg, opt);
+  check_against_golden("xeon_SP_restart0", m);
+  EXPECT_EQ(m.outcome, RunOutcome::kCompleted);
+  EXPECT_EQ(m.faults.recoveries, 1);
+  EXPECT_EQ(m.faults.downtime_s, q::Seconds{});
+  const obs::Counter* superseded = reg.find_counter("sim.calendar.superseded");
+  ASSERT_NE(superseded, nullptr);
+  EXPECT_GT(superseded->value(), 0u);
 }
 
 }  // namespace

@@ -65,14 +65,15 @@ echo "$(wc -l < "$build/unlinked.txt") of $(wc -l < "$build/defined.txt")" \
   "$(echo $targets | wc -w) shipped binaries:"
 cat "$build/unlinked.txt"
 
-# Qualified name of a demangled signature: drop a trailing " const", an
-# [abi:...] tag and the last balanced parameter list, so a name such as
+# Qualified name of a demangled signature: drop a trailing " const" and
+# ref-qualifier (" &", " &&"), an [abi:...] tag and the last balanced
+# parameter list, so a name such as
 # hepex::workload::(anonymous namespace)::Registry::add keeps its
 # namespace parentheses.
 names() {
   awk '{
     s = $0
-    sub(/ const$/, "", s)
+    sub(/( const)?( &&| &)?$/, "", s)
     if (substr(s, length(s), 1) == ")") {
       d = 0
       for (i = length(s); i > 0; i--) {
