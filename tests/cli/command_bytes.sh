@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Byte pin of the CLI commands no other test pins: each command's stdout
 # (and, for advise and validate, the --report file without its host
-# timing lines) on the Xeon cluster with SP and the ARM cluster with CP,
-# both at class A, must match the committed transcript exactly. The run
+# timing lines; for characterize, the whole --out file) on the Xeon
+# cluster with SP and the ARM cluster with CP, both at class A, must
+# match the committed transcript exactly. The run
 # happens in a temporary directory so that printed paths are relative.
 # Usage:
 #
@@ -28,6 +29,12 @@ pin() {
   echo "[exit $rc]" >> "$out"
 }
 
+# Append a file the previous command wrote, byte for byte.
+pin_file() {
+  echo "--- $1" >> "$out"
+  cat "$tmp/run/$1" >> "$out"
+}
+
 # Append a report file with the host timing lines stripped.
 pin_report() {
   echo "--- $1 (host lines stripped)" >> "$out"
@@ -48,6 +55,7 @@ for target in "xeon SP" "arm CP"; do
   pin sensitivity $run
   # shellcheck disable=SC2086
   pin characterize $run --out ch.json
+  pin_file ch.json
   pin predict --from ch.json --n 4 --c 4
   # shellcheck disable=SC2086
   pin report $run

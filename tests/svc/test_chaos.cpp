@@ -53,6 +53,25 @@ TEST(Chaos, FullPlanRoundTripsEveryField) {
   EXPECT_EQ(back.burst_size, 12);
 }
 
+/// The saved bytes of the shipped smoke plan: a round trip alone would
+/// pass a reordered key.
+TEST(Chaos, SmokePlanSavesToPinnedBytes) {
+  const ChaosPlan plan = load_chaos_plan_file(std::string(HEPEX_SOURCE_DIR) +
+                                              "/examples/chaos/smoke.json");
+  EXPECT_EQ(save_chaos_plan(plan),
+            "{\n"
+            "  \"schema\": \"hepex-chaos-plan/1\",\n"
+            "  \"seed\": 42,\n"
+            "  \"slow_loris_prob\": 0.03,\n"
+            "  \"slow_loris_stall_ms\": 80,\n"
+            "  \"disconnect_prob\": 0.1,\n"
+            "  \"malformed_prob\": 0.15,\n"
+            "  \"oversize_prob\": 0.1,\n"
+            "  \"burst_every\": 5,\n"
+            "  \"burst_size\": 12\n"
+            "}\n");
+}
+
 TEST(Chaos, SchemaTagIsEnforced) {
   EXPECT_NE(expect_invalid(R"({"seed": 1})").find("schema"),
             std::string::npos);
