@@ -172,11 +172,19 @@ util::json::Value scenario_to_json(const Scenario& s);
 /// failure.
 void save_scenario_file(const Scenario& s, const std::string& path);
 
-// --- machine/program JSON (shared with model::serialize) -----------------
+// --- machine/program JSON (shared with other documents) -----------------
 //
 // The characterization file format (schema hepex-characterization/2)
-// embeds a full machine description; it reuses these converters so the
-// platform schema exists exactly once.
+// embeds a full machine description through the machine's field list, so
+// the platform schema exists exactly once.
+
+class Reader;
+class Writer;
+
+/// The machine's field list (cfg/fields.hpp), for documents that embed a
+/// machine: `v.obj(key, m...)` reads and writes it through these.
+void visit(Reader& r, hw::MachineSpec& m);
+void visit(Writer& w, const hw::MachineSpec& m, const hw::MachineSpec& base);
 
 /// Full (non-diffed) JSON object for a machine description.
 util::json::Value machine_to_json(const hw::MachineSpec& m);
@@ -185,12 +193,5 @@ util::json::Value machine_to_json(const hw::MachineSpec& m);
 /// workload schema scenarios use for overrides (`hepex workload show`
 /// prints this).
 util::json::Value program_to_json(const workload::ProgramSpec& p);
-
-/// Apply a platform JSON object onto `base` (every key optional; unknown
-/// keys rejected). `path`/`source` seed the error prefix.
-hw::MachineSpec machine_from_json(const util::json::Value& v,
-                                  hw::MachineSpec base,
-                                  const std::string& path,
-                                  const std::string& source);
 
 }  // namespace hepex::cfg

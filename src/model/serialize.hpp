@@ -12,8 +12,10 @@
 /// written through `util::json`: diff-able, hand-editable (so a user can,
 /// e.g., paste counters measured with perf on real hardware) and exact —
 /// numbers use shortest-round-trip formatting, so save→load→save is
-/// byte-identical. The embedded machine description reuses the scenario
-/// platform schema (`cfg::machine_to_json`), so it exists exactly once.
+/// byte-identical. Every section loads and saves through cfg's field
+/// table (cfg/fields.hpp): errors carry the field path, unknown keys are
+/// rejected, and the embedded machine uses the scenario platform's field
+/// list, so the platform schema exists exactly once.
 
 #include <iosfwd>
 #include <string>

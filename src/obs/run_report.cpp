@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -34,6 +35,31 @@ double num_or(const jn::Value& obj, const std::string& key, double fallback,
               const std::string& source, const std::string& path) {
   const jn::Value* v = obj.find(key);
   return v != nullptr ? read_num(*v, source, path + "." + key) : fallback;
+}
+
+/// `key` of `obj` as a whole number in [lo, hi]. The range is checked on
+/// the double: casting one outside the target type is undefined
+/// behaviour.
+double whole_or(const jn::Value& obj, const std::string& key,
+                double fallback, double lo, double hi,
+                const std::string& source, const std::string& path) {
+  const double d = num_or(obj, key, fallback, source, path);
+  if (std::floor(d) != d || d < lo || d > hi) {
+    fail_at(source, path + "." + key,
+            "expected an integer in [" + jn::number_to_string(lo) + ", " +
+                jn::number_to_string(hi) + "], got " +
+                jn::number_to_string(d));
+  }
+  return d;
+}
+
+/// `key` of `obj` as an int.
+int int_or(const jn::Value& obj, const std::string& key, int fallback,
+           const std::string& source, const std::string& path) {
+  return static_cast<int>(whole_or(obj, key, fallback,
+                                   std::numeric_limits<int>::min(),
+                                   std::numeric_limits<int>::max(), source,
+                                   path));
 }
 
 std::string str_or(const jn::Value& obj, const std::string& key,
@@ -167,14 +193,14 @@ RunReport RunReport::from_json_value(const util::json::Value& doc,
     r.machine = str_or(*prov, "machine", "", source, "provenance");
     r.program = str_or(*prov, "program", "", source, "provenance");
     r.input_class = str_or(*prov, "input_class", "", source, "provenance");
-    r.nodes = static_cast<int>(num_or(*prov, "nodes", 0, source, "provenance"));
-    r.cores = static_cast<int>(num_or(*prov, "cores", 0, source, "provenance"));
+    r.nodes = int_or(*prov, "nodes", 0, source, "provenance");
+    r.cores = int_or(*prov, "cores", 0, source, "provenance");
     r.f_ghz = num_or(*prov, "f_ghz", 0.0, source, "provenance");
-    r.seed = static_cast<std::uint64_t>(
-        num_or(*prov, "seed", 0, source, "provenance"));
-    r.replicas =
-        static_cast<int>(num_or(*prov, "replicas", 1, source, "provenance"));
-    r.jobs = static_cast<int>(num_or(*prov, "jobs", 0, source, "provenance"));
+    // Seeds are exact doubles: a scenario seed is at most 2^53.
+    r.seed = static_cast<std::uint64_t>(whole_or(
+        *prov, "seed", 0, 0, 9007199254740992.0, source, "provenance"));
+    r.replicas = int_or(*prov, "replicas", 1, source, "provenance");
+    r.jobs = int_or(*prov, "jobs", 0, source, "provenance");
     if (const jn::Value* sc = prov->find("scenario")) {
       if (!sc->is_object()) {
         fail_at(source, "provenance.scenario", "expected object");
@@ -227,8 +253,7 @@ RunReport RunReport::from_json_value(const util::json::Value& doc,
           fail_at(source, "attribution.per_node[]", "expected object");
         }
         NodeRow nr;
-        nr.node =
-            static_cast<int>(num_or(row, "node", 0, source, "per_node"));
+        nr.node = int_or(row, "node", 0, source, "per_node");
         nr.compute_s = num_or(row, "compute_s", 0.0, source, "per_node");
         nr.memory_s = num_or(row, "memory_s", 0.0, source, "per_node");
         nr.network_s = num_or(row, "network_s", 0.0, source, "per_node");

@@ -4,50 +4,26 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "cfg/fields.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace hepex::svc {
 
-namespace {
-
-using util::json::Value;
-
-[[noreturn]] void fail_field(const std::string& source,
-                             const std::string& field,
-                             const std::string& why) {
-  fail_require(source + ": " + field + ": " + why);
+/// The chaos plan's field list (cfg/fields.hpp); `validate` holds the
+/// range checks.
+template <class V, cfg::Of<ChaosPlan>... S>
+void visit(V& v, S&... s) {
+  v.schema(kChaosSchema);
+  v.seed("seed", s.seed...);
+  v.num("slow_loris_prob", s.slow_loris_prob...);
+  v.integer("slow_loris_stall_ms", s.slow_loris_stall_ms...);
+  v.num("disconnect_prob", s.disconnect_prob...);
+  v.num("malformed_prob", s.malformed_prob...);
+  v.num("oversize_prob", s.oversize_prob...);
+  v.integer("burst_every", s.burst_every...);
+  v.integer("burst_size", s.burst_size...);
 }
-
-double get_prob(const Value& doc, const std::string& source,
-                const std::string& field, double fallback) {
-  const Value* v = doc.find(field);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) fail_field(source, field, "expected a number");
-  const double p = v->as_number();
-  if (!(p >= 0.0 && p <= 1.0)) {
-    fail_field(source, field, "probability must be in [0, 1]");
-  }
-  return p;
-}
-
-int get_int(const Value& doc, const std::string& source,
-            const std::string& field, int fallback, int lo) {
-  const Value* v = doc.find(field);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) fail_field(source, field, "expected a number");
-  const double d = v->as_number();
-  const int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) {
-    fail_field(source, field, "expected an integer");
-  }
-  if (i < lo) {
-    fail_field(source, field, "must be >= " + std::to_string(lo));
-  }
-  return i;
-}
-
-}  // namespace
 
 void ChaosPlan::validate() const {
   auto check_prob = [](double p, const char* name) {
@@ -77,57 +53,8 @@ void ChaosPlan::validate() const {
 
 ChaosPlan load_chaos_plan(const std::string& text,
                           const std::string& source) {
-  const Value doc = util::json::parse(text, source);
-  if (!doc.is_object()) {
-    fail_require(source + ": expected an object");
-  }
-  static const char* kKnown[] = {
-      "schema",          "seed",          "slow_loris_prob",
-      "slow_loris_stall_ms", "disconnect_prob", "malformed_prob",
-      "oversize_prob",   "burst_every",   "burst_size",
-  };
-  for (const auto& [key, value] : doc.members()) {
-    (void)value;
-    bool ok = false;
-    for (const char* k : kKnown) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) fail_require(source + ": unknown field \"" + key + "\"");
-  }
-  const Value* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    fail_field(source, "schema", "missing or not a string");
-  }
-  if (schema->as_string() != kChaosSchema) {
-    fail_field(source, "schema",
-               "expected \"" + std::string(kChaosSchema) + "\", got \"" +
-                   schema->as_string() + "\"");
-  }
-
   ChaosPlan plan;
-  if (const Value* seed = doc.find("seed"); seed != nullptr) {
-    if (!seed->is_number() || seed->as_number() < 0 ||
-        seed->as_number() !=
-            static_cast<double>(static_cast<std::uint64_t>(seed->as_number()))) {
-      fail_field(source, "seed", "expected a non-negative integer");
-    }
-    plan.seed = static_cast<std::uint64_t>(seed->as_number());
-  }
-  plan.slow_loris_prob =
-      get_prob(doc, source, "slow_loris_prob", plan.slow_loris_prob);
-  plan.slow_loris_stall_ms =
-      get_int(doc, source, "slow_loris_stall_ms", plan.slow_loris_stall_ms, 1);
-  plan.disconnect_prob =
-      get_prob(doc, source, "disconnect_prob", plan.disconnect_prob);
-  plan.malformed_prob =
-      get_prob(doc, source, "malformed_prob", plan.malformed_prob);
-  plan.oversize_prob =
-      get_prob(doc, source, "oversize_prob", plan.oversize_prob);
-  plan.burst_every = get_int(doc, source, "burst_every", plan.burst_every, 0);
-  plan.burst_size = get_int(doc, source, "burst_size", plan.burst_size, 1);
+  cfg::Reader::read(util::json::parse(text, source), "", source, plan);
   plan.validate();
   return plan;
 }
@@ -143,17 +70,7 @@ ChaosPlan load_chaos_plan_file(const std::string& path) {
 }
 
 std::string save_chaos_plan(const ChaosPlan& plan) {
-  Value doc = Value::object();
-  doc.set("schema", kChaosSchema);
-  doc.set("seed", static_cast<double>(plan.seed));
-  doc.set("slow_loris_prob", plan.slow_loris_prob);
-  doc.set("slow_loris_stall_ms", plan.slow_loris_stall_ms);
-  doc.set("disconnect_prob", plan.disconnect_prob);
-  doc.set("malformed_prob", plan.malformed_prob);
-  doc.set("oversize_prob", plan.oversize_prob);
-  doc.set("burst_every", plan.burst_every);
-  doc.set("burst_size", plan.burst_size);
-  return util::json::dump(doc);
+  return util::json::dump(cfg::Writer::write(plan, plan, /*full=*/true));
 }
 
 }  // namespace hepex::svc

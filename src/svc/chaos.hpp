@@ -60,8 +60,9 @@ struct ChaosPlan {
   void validate() const;
 };
 
-/// Parse a chaos-plan JSON document (schema tag enforced, unknown keys
-/// rejected, `chaos.<field>` error paths). Throws std::invalid_argument.
+/// Parse a chaos-plan JSON document through cfg's field table (schema tag
+/// enforced, unknown keys rejected, `<source>: <field>: why` errors), then
+/// `validate` it. Throws std::invalid_argument.
 ChaosPlan load_chaos_plan(const std::string& text,
                           const std::string& source = "chaos");
 

@@ -1,5 +1,6 @@
 #include "svc/protocol.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/error.hpp"
@@ -44,15 +45,16 @@ void reject_unknown_keys(const Value& obj,
   }
 }
 
+/// The range is checked on the double: casting one outside int's range
+/// is undefined behaviour.
 int require_int(const Value& v, const std::string& path, int lo, int hi) {
   const double d = v.as_number();
-  const int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) fail_at(path, "expected an integer");
-  if (i < lo || i > hi) {
-    fail_at(path, "value " + std::to_string(i) + " outside [" +
+  if (std::floor(d) != d) fail_at(path, "expected an integer");
+  if (d < lo || d > hi) {
+    fail_at(path, "value " + util::json::number_to_string(d) + " outside [" +
                       std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
-  return i;
+  return static_cast<int>(d);
 }
 
 }  // namespace

@@ -175,18 +175,22 @@ TEST(Scenario, SingleConfigDefaultsToOneFullNodeAtFMax) {
                  "f_max");
 }
 
+/// An inline platform (no preset) is saved in full through the machine's
+/// field list and reloads onto an empty machine.
 TEST(Scenario, MachineJsonRoundTripsInlinePlatforms) {
-  hw::MachineSpec m = hw::machine_by_name("modern");
-  m.name = "tweaked";
-  m.node.memory.latency_s = q::Seconds{68.5e-9};
-  const util::json::Value v = machine_to_json(m);
-  const hw::MachineSpec back =
-      machine_from_json(v, hw::MachineSpec{}, "platform", "test");
-  EXPECT_EQ(back.name, "tweaked");
-  expect_bits_eq(back.node.memory.latency_s.value(),
-                 m.node.memory.latency_s.value(), "latency");
-  EXPECT_EQ(back.node.dvfs.frequencies_hz.size(),
-            m.node.dvfs.frequencies_hz.size());
+  Scenario s = default_scenario();
+  s.platform_preset.clear();
+  s.machine = hw::machine_by_name("modern");
+  s.machine.name = "tweaked";
+  s.machine.node.memory.latency_s = q::Seconds{68.5e-9};
+  const Scenario back = load_scenario(save_scenario(s), "test");
+  EXPECT_EQ(back.platform_preset, "");
+  EXPECT_EQ(back.machine.name, "tweaked");
+  expect_bits_eq(back.machine.node.memory.latency_s.value(),
+                 s.machine.node.memory.latency_s.value(), "latency");
+  EXPECT_EQ(back.machine.node.dvfs.frequencies_hz,
+            s.machine.node.dvfs.frequencies_hz);
+  EXPECT_EQ(save_scenario(back), save_scenario(s));
 }
 
 TEST(Scenario, ValidateRejectsBadCrossFieldState) {

@@ -234,5 +234,51 @@ TEST(Serialize, OutOfRangeIntegersAreRejectedWithTheirPath) {
             "got -1e+300");
 }
 
+/// Every key is claimed by the field list, so an unknown one fails with
+/// its path: at the top, inside a section and inside the machine.
+TEST(Serialize, UnknownKeysAreRejectedWithTheirPath) {
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              member(doc, "comm").set("etaa", util::json::Value(1));
+            }),
+            "characterization: comm.etaa: unknown key");
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              member(doc, "power").set("idle_w", util::json::Value(1));
+            }),
+            "characterization: power.idle_w: unknown key");
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              member(member(doc, "machine"), "node")
+                  .set("corez", util::json::Value(1));
+            }),
+            "characterization: machine.node.corez: unknown key");
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              doc.set("notes", util::json::Value("hand-edited"));
+            }),
+            "characterization: notes: unknown key");
+}
+
+TEST(Serialize, SectionFieldErrorsCarryTheirPath) {
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              member(doc, "comm").set("pattern", util::json::Value("mesh"));
+            }),
+            "characterization: comm.pattern: unknown comm pattern 'mesh' "
+            "(use halo-3d, wavefront, all-to-all or ring)");
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              member(doc, "network").set("achievable_bps",
+                                         util::json::Value("1Gbit/s"));
+            }),
+            "characterization: network.achievable_bps: expected a number, "
+            "got \"1Gbit/s\"");
+  EXPECT_EQ(error_of([](util::json::Value& doc) {
+              auto& m = member(doc, "power").members();
+              for (auto it = m.begin(); it != m.end(); ++it) {
+                if (it->first == "core_stall_w") {
+                  m.erase(it);
+                  break;
+                }
+              }
+            }),
+            "characterization: power.core_stall_w: missing required key");
+}
+
 }  // namespace
 }  // namespace hepex::model

@@ -211,6 +211,51 @@ TEST(RunReport, SchemaMismatchThrowsWithSource) {
   EXPECT_THROW((void)parse_report("not json"), std::invalid_argument);
 }
 
+/// Mutable object-member lookup (Value::find is const-only).
+util::json::Value& member(util::json::Value& obj, const std::string& key) {
+  for (auto& [k, v] : obj.members()) {
+    if (k == key) return v;
+  }
+  throw std::logic_error("test document is missing key " + key);
+}
+
+/// Integer fields are range-checked on the double before the cast: a
+/// number outside the field's type is rejected with its path.
+TEST(RunReport, OutOfRangeIntegersAreRejectedWithTheirPath) {
+  const struct {
+    const char* key;
+    double value;
+  } provenance[] = {{"nodes", 1e300}, {"cores", -1e300}, {"replicas", 2.5},
+                    {"jobs", 3e9},    {"seed", -1.0},    {"seed", 1e300}};
+  for (const auto& c : provenance) {
+    util::json::Value doc = util::json::parse(text_of(sample()));
+    member(doc, "provenance").set(c.key, util::json::Value(c.value));
+    try {
+      (void)RunReport::from_json_value(doc, "report");
+      ADD_FAILURE() << c.key << " = " << c.value << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    std::string("report: provenance.") + c.key +
+                    ": expected an integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  util::json::Value doc = util::json::parse(text_of(sample()));
+  member(member(doc, "attribution"), "per_node")
+      .as_array()[1]
+      .set("node", util::json::Value(1e300));
+  try {
+    (void)RunReport::from_json_value(doc, "report");
+    ADD_FAILURE() << "per_node[1].node = 1e300 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("report: per_node.node: expected "
+                                         "an integer"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(RunReportDiff, IdenticalReportsHaveNoDeltas) {
   EXPECT_TRUE(obs::diff_reports(sample(), sample()).empty());
 }

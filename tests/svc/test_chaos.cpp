@@ -102,6 +102,23 @@ TEST(Chaos, OutOfRangeFieldsArePinnedByName) {
             std::string::npos);
 }
 
+/// Type and integer errors carry the field path; an integer field is
+/// range-checked on the double before any cast to int.
+TEST(Chaos, FieldErrorsCarryTheirPath) {
+  EXPECT_EQ(expect_invalid(
+                R"({"schema": "hepex-chaos-plan/1", "burst_size": 1e300})"),
+            "chaos: burst_size: expected an integer, got 1e+300");
+  EXPECT_EQ(expect_invalid(
+                R"({"schema": "hepex-chaos-plan/1", "burst_every": 2.5})"),
+            "chaos: burst_every: expected an integer, got 2.5");
+  EXPECT_EQ(expect_invalid(
+                R"({"schema": "hepex-chaos-plan/1", "malformed_prob": "x"})"),
+            "chaos: malformed_prob: expected a number, got \"x\"");
+  EXPECT_EQ(expect_invalid(R"({"schema": "hepex-chaos-plan/1", "seed": -1})"),
+            "chaos: seed: expected a non-negative integer seed (< 2^53), "
+            "got -1");
+}
+
 TEST(Chaos, ProbabilitiesMayNotSumPastOne) {
   // Each request draws one behavior; the branch probabilities must leave
   // room for clean traffic to share the stream.

@@ -23,6 +23,20 @@ std::string expect_invalid(const std::string& payload) {
   return "";
 }
 
+/// A timeout outside int's range is a range error: the range is checked
+/// on the double, before any cast to int.
+TEST(Protocol, TimeoutOutsideIntRangeIsARangeError) {
+  for (const char* t : {"1e300", "3e9"}) {
+    const std::string msg = expect_invalid(
+        std::string(R"({"schema": "hepex-svc-request/1", "id": "a",
+                        "method": "ping", "timeout_ms": )") +
+        t + "}");
+    EXPECT_NE(msg.find("request.timeout_ms: value "), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(" outside [0, 86400000]"), std::string::npos) << msg;
+  }
+}
+
 TEST(Protocol, ErrorCodeStringsRoundTrip) {
   for (ErrorCode c :
        {ErrorCode::kBadRequest, ErrorCode::kProtocol, ErrorCode::kShed,
